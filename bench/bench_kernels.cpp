@@ -3,6 +3,7 @@
 // are the quantities the distributed cost model is calibrated against.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "geo/geometry.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
+#include "linalg/qr.hpp"
 #include "stats/bessel.hpp"
 #include "stats/covariance.hpp"
 #include "stats/normal.hpp"
@@ -216,6 +218,48 @@ void BM_compress_block(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_compress_block)->Arg(128)->Arg(256);
+
+// Orthonormal m x k basis from the QR of a random matrix.
+la::Matrix random_orthonormal(i64 m, i64 k, u64 seed) {
+  la::Matrix a = random_matrix(m, k, seed);
+  std::vector<double> tau;
+  la::householder_qr(a.view(), tau);
+  return la::form_q_thin(a.view(), tau, k);
+}
+
+// The TLR GEMM update's recompression (tlr_potrf's tlr_gemm task) on a
+// 400-row tile. The input is U V^T = Q_a diag(sigma) Q_b^T written through a
+// random orthogonal mixing Z (U = Q_a diag(sigma) Z, V = Q_b Z), so neither
+// factor has orthogonal columns; sigma decays geometrically from 1 to 1e-6
+// over r_in components with no sigma on the 1e-3 accuracy threshold, so the
+// rule keeps exactly r_in / 2.
+void BM_lr_recompress(benchmark::State& state) {
+  const i64 m = 400;
+  const i64 r = state.range(0);
+  const la::Matrix qa = random_orthonormal(m, r, 11);
+  const la::Matrix qb = random_orthonormal(m, r, 12);
+  const la::Matrix z = random_orthonormal(r, r, 13);
+  la::Matrix qa_sigma = la::to_matrix(qa.view());
+  for (i64 j = 0; j < r; ++j) {
+    const double sigma = std::pow(
+        10.0, -6.0 * static_cast<double>(j) / static_cast<double>(r - 1));
+    for (i64 i = 0; i < m; ++i) qa_sigma(i, j) *= sigma;
+  }
+  tlr::LowRankTile t{la::Matrix(m, r), la::Matrix(m, r)};
+  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, qa_sigma.view(), z.view(), 0.0,
+           t.u.view());
+  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, qb.view(), z.view(), 0.0,
+           t.v.view());
+  i64 kept = 0;
+  for (auto _ : state) {
+    const tlr::LowRankTile out = tlr::recompress(t, 1e-3, -1);
+    kept = out.rank();
+    benchmark::DoNotOptimize(out.u.data());
+  }
+  state.counters["kept"] = static_cast<double>(kept);
+}
+BENCHMARK(BM_lr_recompress)->Arg(64)->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_norm_cdf(benchmark::State& state) {
   double x = -4.0;

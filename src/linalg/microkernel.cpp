@@ -304,6 +304,23 @@ double dot_simd(i64 n, const double* x, const double* y) noexcept {
   return s;
 }
 
+void rot_simd(i64 n, double* x, double* y, double c, double s) noexcept {
+  const v8df vc = splat(c), vs = splat(s);
+  i64 i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const v8df xi = load8(x + i);
+    const v8df yi = load8(y + i);
+    store8(x + i, vc * xi - vs * yi);
+    store8(y + i, vs * xi + vc * yi);
+  }
+  for (; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
 void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,
                                const double* x, i64 incx, double* y) {
   const i64 m = a.rows;
@@ -336,6 +353,15 @@ double dot_simd(i64 n, const double* x, const double* y) noexcept {
              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
   for (; i < n; ++i) s += x[i] * y[i];
   return s;
+}
+
+void rot_simd(i64 n, double* x, double* y, double c, double s) noexcept {
+  for (i64 i = 0; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
 }
 
 void gemv_notrans_strided_simd(double alpha, ConstMatrixView a,

@@ -82,6 +82,12 @@ void set_pack_helpers(int helpers);
 /// naive left-to-right sum, so callers get reassociated rounding).
 [[nodiscard]] double dot_simd(i64 n, const double* x, const double* y) noexcept;
 
+/// SIMD plane rotation backing la::svd_jacobi's column pairs:
+/// x <- c x - s y, y <- s x + c y over n elements. Purely elementwise (no
+/// reduction), so the result depends on n only through which elements the
+/// vector body and the scalar tail cover.
+void rot_simd(i64 n, double* x, double* y, double c, double s) noexcept;
+
 /// SIMD y += sum_j (alpha * x[j]) * A(:, j) column sweep backing la::gemv's
 /// no-transpose case; bitwise identical to the scalar loop (vectorising over
 /// rows does not reassociate any per-element sum).

@@ -28,12 +28,12 @@ double make_reflector(double* x, i64 len) {
 }
 
 // Apply H = I - tau v v^T (v packed under column j of `a`, v0 = 1) to the
-// trailing columns a(j:, j+1:).
-void apply_reflector(MatrixView a, i64 j, double tau) {
+// columns a(j:, j+1:col_end).
+void apply_reflector(MatrixView a, i64 j, double tau, i64 col_end) {
   const i64 m = a.rows;
   if (tau == 0.0) return;
   const double* __restrict v = a.col(j) + j;  // v[0] is beta; treat as 1
-  for (i64 c = j + 1; c < a.cols; ++c) {
+  for (i64 c = j + 1; c < col_end; ++c) {
     double* __restrict col = a.col(c) + j;
     double s = col[0];
     for (i64 i = 1; i < m - j; ++i) s += v[i] * col[i];
@@ -43,38 +43,96 @@ void apply_reflector(MatrixView a, i64 j, double tau) {
   }
 }
 
+// Reflectors per compact-WY block: the blocked QR factors panels of this
+// many columns unblocked, then updates the trailing columns (and apply_q
+// applies whole blocks) with GEMMs. 16 was the fastest of 8..64 for the
+// recompression shapes (400 x 64..256).
+constexpr i64 kQrBlock = 16;
+
+// Compact-WY form H_j0 H_j0+1 ... H_j0+jb-1 = I - V T V^T of jb consecutive
+// reflectors stored dgeqrf-style in qr(j0:, j0:j0+jb) (LAPACK dlarft,
+// forward/columnwise): V is unit lower trapezoidal, T upper triangular.
+struct BlockReflector {
+  Matrix v;  // (m - j0) x jb
+  Matrix t;  // jb x jb
+};
+
+BlockReflector block_reflector(ConstMatrixView qr, const double* tau, i64 j0,
+                               i64 jb) {
+  const i64 rows = qr.rows - j0;
+  BlockReflector br{Matrix(rows, jb), Matrix(jb, jb)};
+  for (i64 j = 0; j < jb; ++j) {
+    const double* src = qr.col(j0 + j) + j0;
+    br.v(j, j) = 1.0;
+    for (i64 i = j + 1; i < rows; ++i) br.v(i, j) = src[i];
+  }
+  // T(j, j) = tau_j, T(0:j, j) = -tau_j T(0:j, 0:j) V(:, 0:j)^T v_j, with the
+  // inner products taken from the Gram matrix (lower triangle of V^T V).
+  Matrix g(jb, jb);
+  syrk(Trans::kYes, 1.0, br.v.view(), 0.0, g.view());
+  for (i64 j = 0; j < jb; ++j) {
+    const double tj = tau[j];
+    br.t(j, j) = tj;
+    for (i64 i = 0; i < j; ++i) {
+      double s = 0.0;
+      for (i64 l = i; l < j; ++l) s += br.t(i, l) * g(j, l);
+      br.t(i, j) = -tj * s;
+    }
+  }
+  return br;
+}
+
+// c <- (I - V op(T) V^T) c: op(T) = T applies the block, T^T its transpose.
+void apply_block(const BlockReflector& br, Trans trans_t, MatrixView c) {
+  const i64 jb = br.t.rows();
+  Matrix vtc(jb, c.cols);
+  gemm(Trans::kYes, Trans::kNo, 1.0, br.v.view(), c, 0.0, vtc.view());
+  Matrix tvtc(jb, c.cols);
+  gemm(trans_t, Trans::kNo, 1.0, br.t.view(), vtc.view(), 0.0, tvtc.view());
+  gemm(Trans::kNo, Trans::kNo, -1.0, br.v.view(), tvtc.view(), 1.0, c);
+}
+
 }  // namespace
 
 void householder_qr(MatrixView a, std::vector<double>& tau) {
   const i64 k = std::min(a.rows, a.cols);
   tau.assign(static_cast<std::size_t>(k), 0.0);
-  for (i64 j = 0; j < k; ++j) {
-    tau[static_cast<std::size_t>(j)] = make_reflector(a.col(j) + j, a.rows - j);
-    apply_reflector(a, j, tau[static_cast<std::size_t>(j)]);
+  for (i64 j0 = 0; j0 < k; j0 += kQrBlock) {
+    const i64 jb = std::min(kQrBlock, k - j0);
+    // Unblocked panel factorisation of a(j0:, j0:j0+jb).
+    for (i64 j = j0; j < j0 + jb; ++j) {
+      double& tj = tau[static_cast<std::size_t>(j)];
+      tj = make_reflector(a.col(j) + j, a.rows - j);
+      apply_reflector(a, j, tj, j0 + jb);
+    }
+    // Trailing update: a(j0:, j0+jb:) <- H^T a(j0:, j0+jb:) with
+    // H^T = I - V T^T V^T.
+    const i64 trail = a.cols - (j0 + jb);
+    if (trail > 0) {
+      const BlockReflector br = block_reflector(a, tau.data() + j0, j0, jb);
+      apply_block(br, Trans::kYes, a.sub(j0, j0 + jb, a.rows - j0, trail));
+    }
+  }
+}
+
+void apply_q(ConstMatrixView qr, const std::vector<double>& tau, MatrixView c) {
+  const i64 k = static_cast<i64>(tau.size());
+  PARMVN_EXPECTS(k <= std::min(qr.rows, qr.cols));
+  PARMVN_EXPECTS(c.rows == qr.rows);
+  if (k == 0 || c.cols == 0) return;
+  // Q = H_0 H_1 ... H_{k-1}: apply the blocks last to first.
+  for (i64 j0 = ((k - 1) / kQrBlock) * kQrBlock; j0 >= 0; j0 -= kQrBlock) {
+    const i64 jb = std::min(kQrBlock, k - j0);
+    const BlockReflector br = block_reflector(qr, tau.data() + j0, j0, jb);
+    apply_block(br, Trans::kNo, c.sub(j0, 0, c.rows - j0, c.cols));
   }
 }
 
 Matrix form_q_thin(ConstMatrixView qr, const std::vector<double>& tau, i64 k) {
-  const i64 m = qr.rows;
-  const i64 kv = std::min<i64>(static_cast<i64>(tau.size()), std::min(m, qr.cols));
-  PARMVN_EXPECTS(k >= 0 && k <= kv);
-  Matrix q(m, k);
+  PARMVN_EXPECTS(k >= 0 && k <= std::min(qr.rows, qr.cols));
+  Matrix q(qr.rows, k);
   for (i64 j = 0; j < k; ++j) q(j, j) = 1.0;
-  // Accumulate Q = H_0 H_1 ... H_{kv-1} * E_k by applying reflectors in
-  // reverse order.
-  for (i64 j = kv - 1; j >= 0; --j) {
-    const double tj = tau[static_cast<std::size_t>(j)];
-    if (tj == 0.0) continue;
-    const double* v = qr.col(j) + j;  // v0 implied 1
-    for (i64 c = 0; c < k; ++c) {
-      double* col = q.view().col(c) + j;
-      double s = col[0];
-      for (i64 i = 1; i < m - j; ++i) s += v[i] * col[i];
-      s *= tj;
-      col[0] -= s;
-      for (i64 i = 1; i < m - j; ++i) col[i] -= s * v[i];
-    }
-  }
+  apply_q(qr, tau, q.view());
   return q;
 }
 
@@ -139,7 +197,7 @@ RrqrResult rrqr_truncated(ConstMatrixView a, double tol_fro, i64 max_rank,
 
     const double t = make_reflector(w.col(rank) + rank, m - rank);
     tau.push_back(t);
-    apply_reflector(w, rank, t);
+    apply_reflector(w, rank, t, n);
 
     // Downdate the trailing column masses and the residual with the newly
     // exposed row of R. Recompute from scratch when cancellation bites; the

@@ -15,10 +15,19 @@ namespace parmvn::la {
 
 /// In-place Householder QR of a (m x n): on return the upper triangle holds
 /// R and the columns below the diagonal hold the Householder vectors;
-/// tau[j] are the reflector scalings (LAPACK dgeqrf layout).
+/// tau[j] are the reflector scalings (LAPACK dgeqrf layout). Blocked like
+/// dgeqrf: panels of reflectors are factored unblocked, and each panel's
+/// compact-WY form updates the trailing columns through gemm.
 void householder_qr(MatrixView a, std::vector<double>& tau);
 
-/// Form the thin Q (m x k, k <= min(m,n)) from the dgeqrf-style factor.
+/// C <- Q C for the Q = H_0 H_1 ... H_{k-1} of a dgeqrf-style factor,
+/// k = tau.size() reflectors, C with qr.rows rows (LAPACK dormqr, left,
+/// no transpose). Applied in compact-WY blocks through gemm, so Q itself is
+/// never formed: Q [X; 0] costs O(m k cols(X)) however few columns X has.
+void apply_q(ConstMatrixView qr, const std::vector<double>& tau, MatrixView c);
+
+/// Form the thin Q (m x k, k <= min(m,n)) from the dgeqrf-style factor:
+/// apply_q to the first k columns of the identity.
 [[nodiscard]] Matrix form_q_thin(ConstMatrixView qr,
                                  const std::vector<double>& tau, i64 k);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
@@ -30,7 +31,7 @@ LowRankTile compress_block(la::ConstMatrixView a, double accuracy,
 
 LowRankTile recompress(const LowRankTile& t, double accuracy, i64 max_rank) {
   const i64 r = t.rank();
-  // QR of both factors, SVD of the r x r core R_u R_v^T, then truncate.
+  // QR of both factors, SVD of the core R_u R_v^T, then truncate.
   la::Matrix qu = la::to_matrix(t.u.view());
   la::Matrix qv = la::to_matrix(t.v.view());
   std::vector<double> tau_u, tau_v;
@@ -47,29 +48,35 @@ LowRankTile recompress(const LowRankTile& t, double accuracy, i64 max_rank) {
   la::Matrix core(ku, kv);
   la::gemm(la::Trans::kNo, la::Trans::kYes, 1.0, ru.view(), rv.view(), 0.0,
            core.view());
-  la::SvdResult svd = la::svd_jacobi(core.view());
+  const la::SvdResult svd = la::svd_jacobi(core.view());
   // The core's singular values are the tile's singular values; keep the
   // components with sigma_k >= accuracy * sigma_1 (HiCMA accuracy rule).
-  i64 keep = la::truncation_rank_sv(svd.sigma, accuracy * svd.sigma.front());
+  // Singular values at or below the rounding floor
+  // max(rows, cols) eps ||U||_F ||V||_F of the input factors (the rank
+  // tolerance of MATLAB's rank()) are noise: when sigma_1 is there, as after
+  // an exact cancellation t + (-1) t, the result is the rank-1 zero tile.
+  const double sigma1 = svd.sigma.front();
+  const double noise = static_cast<double>(std::max(t.rows(), t.cols())) *
+                       std::numeric_limits<double>::epsilon() *
+                       la::frobenius_norm(t.u.view()) *
+                       la::frobenius_norm(t.v.view());
+  if (sigma1 <= noise)
+    return LowRankTile{la::Matrix(t.rows(), 1), la::Matrix(t.cols(), 1)};
+  i64 keep =
+      la::truncation_rank_sv(svd.sigma, std::max(accuracy * sigma1, noise));
   if (max_rank > 0) keep = std::min(keep, max_rank);
 
-  la::Matrix qu_thin = la::form_q_thin(qu.view(), tau_u, ku);
-  la::Matrix qv_thin = la::form_q_thin(qv.view(), tau_v, kv);
-  // U = Q_u * (W_r * diag(sigma_r)), V = Q_v * Z_r.
-  la::Matrix w_scaled(ku, keep);
-  for (i64 j = 0; j < keep; ++j)
-    for (i64 i = 0; i < ku; ++i)
-      w_scaled(i, j) = svd.u(i, j) * svd.sigma[static_cast<std::size_t>(j)];
-  LowRankTile out;
-  out.u = la::Matrix(t.rows(), keep);
-  out.v = la::Matrix(t.cols(), keep);
-  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, qu_thin.view(),
-           w_scaled.view(), 0.0, out.u.view());
-  la::Matrix z(kv, keep);
-  for (i64 j = 0; j < keep; ++j)
-    for (i64 i = 0; i < kv; ++i) z(i, j) = svd.v(i, j);
-  la::gemm(la::Trans::kNo, la::Trans::kNo, 1.0, qv_thin.view(), z.view(), 0.0,
-           out.v.view());
+  // Truncate first, then expand: U = Q_u [W_keep diag(sigma); 0] and
+  // V = Q_v [Z_keep; 0], with the reflectors applied straight to the kept
+  // columns (Q_u, Q_v are never formed).
+  LowRankTile out{la::Matrix(t.rows(), keep), la::Matrix(t.cols(), keep)};
+  for (i64 j = 0; j < keep; ++j) {
+    const double sj = svd.sigma[static_cast<std::size_t>(j)];
+    for (i64 i = 0; i < ku; ++i) out.u(i, j) = svd.u(i, j) * sj;
+    for (i64 i = 0; i < kv; ++i) out.v(i, j) = svd.v(i, j);
+  }
+  la::apply_q(qu.view(), tau_u, out.u.view());
+  la::apply_q(qv.view(), tau_v, out.v.view());
   return out;
 }
 

@@ -32,9 +32,17 @@ struct LowRankTile {
 [[nodiscard]] LowRankTile compress_block(la::ConstMatrixView a, double accuracy,
                                          i64 max_rank);
 
-/// Recompress an existing factorisation under the same fixed-accuracy rule
-/// (QR of both factors + SVD of the small core; components with singular
-/// value < accuracy are dropped). Used after additions inflate the rank.
+/// Recompress an existing factorisation under the same fixed-accuracy rule.
+/// Used after additions inflate the rank. Householder QR of both factors
+/// (U = Q_u R_u, V = Q_v R_v), one-sided Jacobi SVD of the r x r core
+/// R_u R_v^T = W diag(sigma) Z^T, truncation to the components with
+/// sigma_k >= accuracy * sigma_1 (and at most max_rank, if > 0), then the
+/// reflectors of Q_u and Q_v are applied straight to the kept columns:
+/// U' = Q_u [W_keep diag(sigma_keep); 0], V' = Q_v [Z_keep; 0]. Q is never
+/// formed, so the expansion costs O((rows + cols) r keep). The leading
+/// column pair carries sigma_1 (|u'_0| = sigma_1, |v'_0| = 1). A tile whose
+/// sigma_1 is at the rounding floor of its inputs (an exact cancellation)
+/// comes back as the rank-1 zero tile.
 [[nodiscard]] LowRankTile recompress(const LowRankTile& t, double accuracy,
                                      i64 max_rank);
 

@@ -9,6 +9,8 @@
 #include "geo/geometry.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
+#include "linalg/qr.hpp"
+#include "linalg/svd.hpp"
 #include "stats/covariance.hpp"
 #include "stats/rng.hpp"
 #include "tlr/aca.hpp"
@@ -126,6 +128,136 @@ TEST(LowRankTile, AddLowRankMatchesDenseArithmetic) {
   la::gemm(Trans::kNo, Trans::kYes, -2.5, u2.view(), v2.view(), 1.0, ref.view());
   EXPECT_LE(tlr::lr_error_fro(t, ref.view()), 1e-10);
   EXPECT_LE(t.rank(), 5);
+}
+
+Matrix gaussian(i64 m, i64 n, stats::Xoshiro256pp& g) {
+  Matrix a(m, n);
+  for (i64 j = 0; j < n; ++j)
+    for (i64 i = 0; i < m; ++i) a(i, j) = g.next_normal();
+  return a;
+}
+
+// Orthonormal m x k basis from the QR of a Gaussian matrix.
+Matrix orthonormal(i64 m, i64 k, stats::Xoshiro256pp& g) {
+  Matrix a = gaussian(m, k, g);
+  std::vector<double> tau;
+  la::householder_qr(a.view(), tau);
+  return la::form_q_thin(a.view(), tau, k);
+}
+
+// S = Q_a diag(sv) Q_b^T, held as the tile t = [Q_a diag(sv), E_a]
+// [Q_b, E_b]^T plus the update -1 * E_a E_b^T that cancels the large rank-3
+// term E: the recompression sees rank sv.size() + 3 and must find S.
+struct SplitSum {
+  LowRankTile t;
+  Matrix u2, v2;  // the update's factors (alpha = -1)
+  Matrix dense;   // S
+};
+
+SplitSum split_sum(i64 m, i64 n, const std::vector<double>& sv, u64 seed) {
+  stats::Xoshiro256pp g(seed);
+  const i64 k = static_cast<i64>(sv.size());
+  Matrix qa = orthonormal(m, k, g);
+  const Matrix qb = orthonormal(n, k, g);
+  for (i64 j = 0; j < k; ++j)
+    for (i64 i = 0; i < m; ++i) qa(i, j) *= sv[static_cast<std::size_t>(j)];
+  SplitSum s;
+  s.u2 = gaussian(m, 3, g);
+  s.v2 = gaussian(n, 3, g);
+  for (i64 j = 0; j < 3; ++j)
+    for (i64 i = 0; i < m; ++i) s.u2(i, j) *= 5.0;
+  s.t.u = Matrix(m, k + 3);
+  s.t.v = Matrix(n, k + 3);
+  la::copy_into(qa.view(), s.t.u.sub(0, 0, m, k));
+  la::copy_into(s.u2.view(), s.t.u.sub(0, k, m, 3));
+  la::copy_into(qb.view(), s.t.v.sub(0, 0, n, k));
+  la::copy_into(s.v2.view(), s.t.v.sub(0, k, n, 3));
+  s.dense = Matrix(m, n);
+  la::gemm(Trans::kNo, Trans::kYes, 1.0, qa.view(), qb.view(), 0.0,
+           s.dense.view());
+  return s;
+}
+
+// The |u_0| |v_0| estimate tlr_potrf's max_tile_sigma1 uses for sigma_1.
+double leading_norm_product(const LowRankTile& t) {
+  const double u0 = la::dot(t.rows(), t.u.view().col(0), t.u.view().col(0));
+  const double v0 = la::dot(t.cols(), t.v.view().col(0), t.v.view().col(0));
+  return std::sqrt(u0 * v0);
+}
+
+TEST(LowRankTile, AddLowRankKeepsReferenceRankOfDenseSum) {
+  // No sigma within a factor 2.5 of either threshold (1e-3, 1e-6).
+  const std::vector<double> sv{1.0, 0.5, 0.1, 3e-2, 1e-2, 1e-4, 1e-5, 3e-6,
+                               1e-7};
+  const SplitSum s = split_sum(60, 45, sv, 7);
+  const la::SvdResult ref = la::svd_jacobi(s.dense.view());
+  const double sigma1 = ref.sigma.front();
+  for (const double tol : {1e-3, 1e-6}) {
+    i64 ref_rank = 0;
+    double dropped_sq = 0.0;
+    for (const double x : ref.sigma) {
+      ASSERT_TRUE(x > 2.5 * tol * sigma1 || x < 0.4 * tol * sigma1)
+          << "a reference sigma sits near the threshold";
+      if (x >= tol * sigma1) {
+        ++ref_rank;
+      } else {
+        dropped_sq += x * x;
+      }
+    }
+    LowRankTile t = s.t;
+    tlr::add_lowrank_inplace(t, -1.0, s.u2.view(), s.v2.view(), tol, -1);
+    EXPECT_EQ(t.rank(), ref_rank) << "tol=" << tol;
+    EXPECT_LE(tlr::lr_error_fro(t, s.dense.view()),
+              std::sqrt(dropped_sq) * 1.001 + 1e-12)
+        << "tol=" << tol;
+    EXPECT_NEAR(leading_norm_product(t), sigma1, 1e-12 * sigma1)
+        << "tol=" << tol;
+  }
+  EXPECT_EQ(ref.sigma.size(), 45u);
+}
+
+TEST(LowRankTile, RecompressEdgeTileWithFewerRowsThanRank) {
+  // A 10-row (and, transposed, a 10-column) edge tile held at rank 16:
+  // the QR of the short factor keeps only 10 reflectors.
+  stats::Xoshiro256pp g(9);
+  for (const bool short_rows : {true, false}) {
+    const i64 rows = short_rows ? 10 : 60;
+    const i64 cols = short_rows ? 60 : 10;
+    const LowRankTile t{gaussian(rows, 16, g), gaussian(cols, 16, g)};
+    const Matrix dense = t.to_dense();
+    const LowRankTile out = tlr::recompress(t, 1e-12, -1);
+    EXPECT_EQ(out.rows(), rows);
+    EXPECT_EQ(out.cols(), cols);
+    EXPECT_EQ(out.rank(), 10);
+    EXPECT_LE(tlr::lr_error_fro(out, dense.view()),
+              1e-13 * la::frobenius_norm(dense.view()));
+  }
+}
+
+TEST(LowRankTile, ExactCancellationGivesRankOneZeroTile) {
+  stats::Xoshiro256pp g(13);
+  for (const i64 r : {1, 5, 24}) {
+    LowRankTile t{gaussian(40, r, g), gaussian(30, r, g)};
+    const LowRankTile copy = t;
+    tlr::add_lowrank_inplace(t, -1.0, copy.u.view(), copy.v.view(), 1e-3, -1);
+    EXPECT_EQ(t.rank(), 1) << "r=" << r;
+    EXPECT_EQ(t.rows(), 40);
+    EXPECT_EQ(t.cols(), 30);
+    EXPECT_EQ(la::frobenius_norm(t.u.view()), 0.0) << "r=" << r;
+    EXPECT_EQ(la::frobenius_norm(t.v.view()), 0.0) << "r=" << r;
+  }
+}
+
+TEST(LowRankTile, RecompressHonoursBindingMaxRank) {
+  const std::vector<double> sv{1.0, 0.6, 0.3, 0.1, 0.05, 0.02};
+  const SplitSum s = split_sum(50, 40, sv, 17);
+  LowRankTile t = s.t;
+  tlr::add_lowrank_inplace(t, -1.0, s.u2.view(), s.v2.view(), 1e-9, 3);
+  ASSERT_EQ(t.rank(), 3);
+  // The cap keeps the three leading components: the error is the tail.
+  const double tail = std::sqrt(0.1 * 0.1 + 0.05 * 0.05 + 0.02 * 0.02);
+  EXPECT_NEAR(tlr::lr_error_fro(t, s.dense.view()), tail, 1e-12);
+  EXPECT_NEAR(leading_norm_product(t), 1.0, 1e-12);
 }
 
 TEST(LowRankTile, LrGemmAccumMatchesDense) {
