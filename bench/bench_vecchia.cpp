@@ -8,9 +8,9 @@
 //
 //  2. crd_100k — the confidence-region sweep on a >= 100k-site grid, the
 //     scale the Vecchia arm exists for (a dense factor would need ~80 GB
-//     and O(n^3) time). Runs under every worker count x scheduler arm and
-//     verifies the full determinism contract: the confidence function and
-//     region must be bitwise identical across all runs.
+//     and O(n^3) time). Runs under every worker count and verifies the
+//     determinism contract: the confidence function and region must be
+//     bitwise identical across all runs.
 //
 // The numbers land in BENCH_vecchia.json at the repo root (regenerate
 // with:  ./bench_vecchia --json > ../BENCH_vecchia.json ).
@@ -170,40 +170,33 @@ int main(int argc, char** argv) {
 
   struct CrdRun {
     int workers;
-    const char* sched;
     double factor_s, sweep_s;
     i64 region_size;
   };
   std::vector<CrdRun> crd_runs;
   std::vector<double> ref_conf;
   bool bitwise = true;
-  const std::pair<rt::SchedulerKind, const char*> arms[] = {
-      {rt::SchedulerKind::kWorkSteal, "worksteal"},
-      {rt::SchedulerKind::kGlobalQueue, "global"}};
-  for (const auto& [sched, sched_name] : arms) {
-    for (const int workers : {1, 2, 8}) {
-      rt::Runtime crt(workers, /*enable_trace=*/false, sched);
-      const core::CrdResult r =
-          core::detect_confidence_region(crt, cov, mean, copts);
-      if (ref_conf.empty()) {
-        ref_conf = r.confidence;
-      } else {
-        for (std::size_t i = 0; i < ref_conf.size(); ++i)
-          if (r.confidence[i] != ref_conf[i]) bitwise = false;
-      }
-      crd_runs.push_back({workers, sched_name, r.factor_seconds,
-                          r.sweep_seconds, r.region_size});
-      if (!json)
-        std::printf("crd n=%lld m=30 workers=%d sched=%s factor=%.2fs "
-                    "sweep=%.2fs region=%lld\n",
-                    static_cast<long long>(crd_n), workers, sched_name,
-                    r.factor_seconds, r.sweep_seconds,
-                    static_cast<long long>(r.region_size));
-      std::fflush(stdout);
+  for (const int workers : {1, 2, 8}) {
+    rt::Runtime crt(workers);
+    const core::CrdResult r =
+        core::detect_confidence_region(crt, cov, mean, copts);
+    if (ref_conf.empty()) {
+      ref_conf = r.confidence;
+    } else {
+      for (std::size_t i = 0; i < ref_conf.size(); ++i)
+        if (r.confidence[i] != ref_conf[i]) bitwise = false;
     }
+    crd_runs.push_back(
+        {workers, r.factor_seconds, r.sweep_seconds, r.region_size});
+    if (!json)
+      std::printf("crd n=%lld m=30 workers=%d factor=%.2fs sweep=%.2fs "
+                  "region=%lld\n",
+                  static_cast<long long>(crd_n), workers, r.factor_seconds,
+                  r.sweep_seconds, static_cast<long long>(r.region_size));
+    std::fflush(stdout);
   }
   if (!json)
-    std::printf("crd determinism across workers x schedulers: %s\n",
+    std::printf("crd determinism across workers: %s\n",
                 bitwise ? "bitwise" : "FAILED");
 
   if (json) {
@@ -226,9 +219,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(crd_n), bitwise ? "true" : "false");
     for (std::size_t i = 0; i < crd_runs.size(); ++i) {
       const CrdRun& r = crd_runs[i];
-      std::printf("    {\"workers\": %d, \"sched\": \"%s\", \"factor_s\": "
-                  "%.3e, \"sweep_s\": %.3e, \"region_size\": %lld}%s\n",
-                  r.workers, r.sched, r.factor_s, r.sweep_s,
+      std::printf("    {\"workers\": %d, \"factor_s\": %.3e, \"sweep_s\": "
+                  "%.3e, \"region_size\": %lld}%s\n",
+                  r.workers, r.factor_s, r.sweep_s,
                   static_cast<long long>(r.region_size),
                   i + 1 < crd_runs.size() ? "," : "");
     }

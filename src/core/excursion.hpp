@@ -24,8 +24,8 @@
 // call with the same parameters and seed. Concurrent host threads may call
 // this with one shared Runtime + FactorCache: the factor and engine entry
 // points serialise their submit…wait_all epochs through
-// Runtime::exclusive_epoch() (test_serve drives this on both scheduler
-// arms). The managed alternative is serve::Server (src/serve/), which adds
+// Runtime::exclusive_epoch() (test_serve drives this across worker
+// counts). The managed alternative is serve::Server (src/serve/), which adds
 // admission control, cross-caller batching and overload degradation.
 #pragma once
 

@@ -8,6 +8,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/normal.hpp"
+#include "tlr/tlr_potrf.hpp"
 
 namespace parmvn::dist {
 
@@ -56,14 +57,13 @@ double cost_tlr_syrk(const MachineModel& m, i64 nb, i64 rank) noexcept {
          rate(m);
 }
 
-double cost_tlr_gemm(const MachineModel& m, i64 nb, i64 rank_a,
-                     i64 rank_b) noexcept {
+double cost_tlr_gemm(const MachineModel& m, i64 nb, i64 rank_a, i64 rank_b,
+                     i64 rank_c) noexcept {
   // HiCMA low-rank GEMM: small inner products plus the QR/SVD recompression
-  // of the concatenated (rank_a + rank_b)-column factor, which dominates.
-  const double rsum = d(rank_a) + d(rank_b);
-  const double inner = 2.0 * d(nb) * d(rank_a) * d(rank_b);
-  const double recompress = 6.0 * d(nb) * rsum * rsum;
-  return (inner + recompress) / rate(m);
+  // of the C tile with the update appended, counted exactly as the TLR
+  // Cholesky runs it.
+  return tlr::lr_update_flops(d(nb), d(nb), d(rank_a), d(rank_b), d(rank_c)) /
+         rate(m);
 }
 
 double cost_pmvn_qmc(const MachineModel& m, i64 nb, i64 nc) noexcept {

@@ -46,8 +46,10 @@ struct MachineModel {
                                    i64 rank) noexcept;
 [[nodiscard]] double cost_tlr_syrk(const MachineModel& m, i64 nb,
                                    i64 rank) noexcept;
+/// C -= A B^T with A, B, C of ranks rank_a, rank_b, rank_c (see
+/// tlr::lr_update_flops).
 [[nodiscard]] double cost_tlr_gemm(const MachineModel& m, i64 nb, i64 rank_a,
-                                   i64 rank_b) noexcept;
+                                   i64 rank_b, i64 rank_c) noexcept;
 
 // PMVN sweep kernels for a panel of `nc` sample columns.
 [[nodiscard]] double cost_pmvn_qmc(const MachineModel& m, i64 nb,

@@ -181,7 +181,8 @@ std::vector<SimTask> cholesky_dag_tlr(i64 nt, i64 tile,
       [&](i64 i, i64 k) { return cost_tlr_trsm(m, tile, ranks.rank(i - k)); },
       [&](i64 i, i64 k) { return cost_tlr_syrk(m, tile, ranks.rank(i - k)); },
       [&](i64 i, i64 j, i64 k) {
-        return cost_tlr_gemm(m, tile, ranks.rank(i - k), ranks.rank(j - k));
+        return cost_tlr_gemm(m, tile, ranks.rank(i - k), ranks.rank(j - k),
+                             ranks.rank(i - j));
       },
       [&](i64 i, i64 j) { return 2 * tile * ranks.rank(i - j) * 8; });
 }

@@ -35,7 +35,7 @@
 // panel is computed by arithmetic whose reduction order depends only on the
 // dimension index, never on the panel width or task interleaving, so fused
 // batches stay bitwise equal to single-query runs and results are identical
-// across worker counts and scheduler arms *within* a factor kind.
+// across worker counts *within* a factor kind.
 #pragma once
 
 #include <span>

@@ -546,8 +546,7 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   // or en masse when the deadline expires. All stop decisions run here on
   // the host thread from deterministic block sums, so the adaptive round
   // schedule (and therefore every result bit) is identical across worker
-  // counts and scheduler arms; deadline stops are time-dependent and
-  // exempt (see ROADMAP).
+  // counts; deadline stops are time-dependent and exempt (see ROADMAP).
   const int step = opts_.antithetic ? 2 : 1;
   // First stop check no earlier than min_shifts, rounded up to whole rounds.
   const int first_check = ((opts_.min_shifts + step - 1) / step) * step;

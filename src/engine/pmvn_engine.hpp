@@ -55,8 +55,8 @@ struct EngineOptions {
   /// prob +/- error3sigma cleanly clears it. `shifts` stays the hard budget
   /// cap. Off (the default) keeps the fixed-budget sweep bitwise unchanged.
   /// The stop schedule is computed on the host thread from deterministic
-  /// block sums, so adaptive results are identical across worker counts and
-  /// scheduler arms given the same seed.
+  /// block sums, so adaptive results are identical across worker counts
+  /// given the same seed.
   bool adaptive = false;
   /// Target 3-sigma error for the adaptive stop (0 = decision-only stop).
   double abs_tol = 0.0;
@@ -84,9 +84,9 @@ struct EngineOptions {
   /// untiered run (batch transparency), and `tiered` off reproduces the
   /// QMC-only path bitwise. EP itself is a pure host-thread function of the
   /// factor bits, so the tiered path stays deterministic across worker
-  /// counts and scheduler arms. Screens warm-start from the factor's site
-  /// cache (CholeskyFactor::ep_cache()); an unconverged screen never
-  /// retires anything.
+  /// counts. Screens warm-start from the factor's site cache
+  /// (CholeskyFactor::ep_cache()); an unconverged screen never retires
+  /// anything.
   /// Wall-clock deadline for the whole evaluate() call in milliseconds
   /// (0 = none). Checked on the host thread between shift-block rounds (and
   /// between tiered EP screens): when it expires, every still-active query

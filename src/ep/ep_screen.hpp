@@ -48,7 +48,7 @@
 // spends seconds. Everything runs on the calling (host) thread from
 // deterministic factor data, so the result is a pure function of
 // (factor bits, limits, options, warm-start state): bitwise identical
-// across worker counts and scheduler arms by construction.
+// across worker counts by construction.
 #pragma once
 
 #include <memory>

@@ -2,7 +2,7 @@
 //
 // `Runtime::submit(..., int priority)` was historically a bare tie-break
 // int with no documented scale; these constants define the scale and how
-// the schedulers interpret it.
+// the scheduler interprets it.
 //
 // The ladder (higher runs earlier):
 //
@@ -19,16 +19,10 @@
 //
 // Scheduler interaction:
 //
-//  * The work-stealing scheduler maps priorities onto kNumPriorityLanes
-//    per-worker deques via priority_lane() (values clamp at the ends, so
-//    any int remains legal). Owners pop their highest non-empty lane
-//    newest-first; thieves scan victims highest-lane-first and steal
-//    oldest-first. Because panel k's tasks are always submitted before
-//    panel k+1's, oldest-first steal order *within* a lane is exactly
-//    descending remaining-critical-path depth — stealing prefers the
-//    critical path without a per-task depth integer.
-//  * The legacy global-queue scheduler (PARMVN_SCHED_GLOBAL=1) orders its
-//    single ready queue by the raw int, FIFO within equal priority.
+//  * The scheduler orders its single ready queue by the raw int (any int is
+//    legal), FIFO within equal priority. Because panel k's tasks are always
+//    submitted before panel k+1's, FIFO within a level prefers the critical
+//    path without a per-task depth integer.
 //  * Priorities are scheduling hints only; correctness (sequential
 //    consistency per data handle, bitwise determinism across worker
 //    counts) comes solely from the declared data accesses.
@@ -40,15 +34,5 @@ inline constexpr int kPrioBulk = 0;
 inline constexpr int kPrioUpdate = 1;
 inline constexpr int kPrioSweep = 2;
 inline constexpr int kPrioPanel = 3;
-
-/// Number of ready-queue lanes per worker in the work-stealing scheduler.
-inline constexpr int kNumPriorityLanes = 4;
-
-/// Lane a submitted priority lands in: the ladder value, clamped.
-constexpr int priority_lane(int priority) noexcept {
-  if (priority < 0) return 0;
-  if (priority >= kNumPriorityLanes) return kNumPriorityLanes - 1;
-  return priority;
-}
 
 }  // namespace parmvn::rt

@@ -1,7 +1,6 @@
-// Runtime facade: uid registry, scheduler-arm selection, and the inline
-// (0-worker) implementation. The two threaded scheduler arms live in
-// scheduler_worksteal.cpp (default) and scheduler_global.cpp (the frozen
-// pre-PR-5 single-lock baseline, PARMVN_SCHED_GLOBAL=1).
+// Runtime facade: uid registry, the choice between inline and threaded
+// mode, and the inline (0-worker) implementation. The threaded scheduler
+// lives in scheduler_global.cpp.
 #include "runtime/runtime.hpp"
 
 #include <cstdio>
@@ -40,12 +39,6 @@ std::atomic<u64> next_uid{1};
 // so it survives the leaking runtime's destruction.
 std::atomic<i64> total_leaked{0};
 
-SchedulerKind resolve_kind(SchedulerKind requested) {
-  if (requested != SchedulerKind::kDefault) return requested;
-  return env_i64("PARMVN_SCHED_GLOBAL", 0) != 0 ? SchedulerKind::kGlobalQueue
-                                                : SchedulerKind::kWorkSteal;
-}
-
 // Inline mode: tasks execute immediately on submit — submission order is
 // always a valid topological order under sequential consistency, so no
 // hazard tracking is needed, only handle-table bookkeeping. Single-threaded
@@ -54,8 +47,7 @@ SchedulerKind resolve_kind(SchedulerKind requested) {
 // anyway, so no synchronization is provided here.
 class InlineImpl final : public Runtime::Impl {
  public:
-  InlineImpl(u64 uid_arg, bool trace_on, SchedulerKind kind_arg)
-      : Impl(uid_arg, trace_on, kind_arg) {}
+  InlineImpl(u64 uid_arg, bool trace_on) : Impl(uid_arg, trace_on) {}
 
   DataHandle register_handle(std::string debug_name) override {
     i64 id;
@@ -134,17 +126,11 @@ class InlineImpl final : public Runtime::Impl {
 
 }  // namespace
 
-Runtime::Runtime(int num_threads, bool enable_trace, SchedulerKind sched) {
+Runtime::Runtime(int num_threads, bool enable_trace) {
   PARMVN_EXPECTS(num_threads >= 0);
   const u64 uid = next_uid.fetch_add(1);
-  const SchedulerKind kind = resolve_kind(sched);
-  if (num_threads == 0) {
-    impl_ = make_inline_impl(uid, enable_trace, kind);
-  } else if (kind == SchedulerKind::kGlobalQueue) {
-    impl_ = make_global_impl(uid, num_threads, enable_trace);
-  } else {
-    impl_ = make_worksteal_impl(uid, num_threads, enable_trace);
-  }
+  impl_ = num_threads == 0 ? make_inline_impl(uid, enable_trace)
+                           : make_global_impl(uid, num_threads, enable_trace);
   // Register only after construction succeeded: a throwing impl constructor
   // must not leave a dead uid marked alive.
   std::unique_lock registry_lock(uid_registry_mutex());
@@ -215,8 +201,6 @@ bool Runtime::cancel_requested() const noexcept {
 
 int Runtime::num_threads() const noexcept { return impl_->num_threads(); }
 
-SchedulerKind Runtime::scheduler() const noexcept { return impl_->kind; }
-
 u64 Runtime::uid() const noexcept { return impl_->uid; }
 
 bool Runtime::uid_alive(u64 uid) {
@@ -258,7 +242,7 @@ i64 Runtime::tasks_executed() const noexcept {
   return impl_->executed.load(std::memory_order_relaxed);
 }
 
-i64 Runtime::tasks_stolen() const noexcept { return impl_->tasks_stolen(); }
+i64 Runtime::tasks_stolen() const noexcept { return 0; }
 
 i64 Runtime::handles_leaked() const noexcept {
   return impl_->handles_leaked.load(std::memory_order_relaxed);
@@ -268,7 +252,7 @@ i64 Runtime::total_handles_leaked() noexcept {
   return total_leaked.load(std::memory_order_relaxed);
 }
 
-// Shared by every arm's record-append guard: first failure downgrades
+// Shared by every record-append guard: first failure downgrades
 // tracing (workers check trace_enabled()) and warns once — a trace is a
 // diagnostic artifact, never worth failing the computation for.
 void Runtime::Impl::trace_record_failed() noexcept {
@@ -283,9 +267,8 @@ const std::vector<TaskRecord>& Runtime::trace() const {
   return impl_->trace();
 }
 
-std::unique_ptr<Runtime::Impl> make_inline_impl(u64 uid, bool tracing,
-                                                SchedulerKind kind) {
-  return std::make_unique<InlineImpl>(uid, tracing, kind);
+std::unique_ptr<Runtime::Impl> make_inline_impl(u64 uid, bool tracing) {
+  return std::make_unique<InlineImpl>(uid, tracing);
 }
 
 }  // namespace parmvn::rt

@@ -16,39 +16,22 @@
 // concurrently on the worker pool. Priorities (see runtime/priority.hpp for
 // the named ladder) steer which ready task runs first.
 //
-// Two scheduler arms share this API (selected per Runtime, default via the
-// PARMVN_SCHED_GLOBAL environment variable):
+// Scheduling: one ready queue ordered by priority, FIFO (submission order)
+// within equal priority, under a single runtime-wide lock that also guards
+// the handle table and the task graph (runtime/scheduler_global.cpp).
+// Scheduling never reorders any data dependency, so results are bitwise
+// deterministic across worker counts.
 //
-//  * SchedulerKind::kWorkSteal (default) — per-worker Chase–Lev deques, one
-//    per priority lane. Task completion decrements successor dependency
-//    counts on atomics and pushes newly ready tasks to the completing
-//    worker's own deque (or, when the task's first ReadWrite handle was
-//    last written by another worker, to that worker's inbox — tile-owner
-//    affinity). Idle workers steal oldest-first from victims scanned
-//    round-robin, highest priority lane first. submit()'s hazard
-//    bookkeeping runs under sharded handle locks, so neither submission
-//    nor completion ever takes a runtime-wide lock.
-//  * SchedulerKind::kGlobalQueue — the pre-PR-5 single-mutex design (one
-//    priority queue, one lock around all state), kept as the A/B baseline
-//    for bench_scheduler and as a bisection aid. Set PARMVN_SCHED_GLOBAL=1
-//    to make it the default for Runtimes constructed with kDefault.
-//
-// Both arms keep the same contracts: bitwise-deterministic results across
-// worker counts (scheduling never reorders any data dependency), first-
-// exception cancellation, release_data() recycling, trace records, and
-// inline mode (0 workers).
-//
-// Thread-safety (threaded arms): submit(), register_data() and
+// Thread-safety (threaded mode): submit(), register_data() and
 // release_data() may be called from any thread, concurrently. wait_all()
 // must not race with submit() on the same runtime (an epoch boundary
 // concurrent with submission has no meaningful semantics); host threads
 // that share a Runtime serialise their submit…wait_all phases through
 // exclusive_epoch() — the engine's factor/evaluate entry points do so
 // automatically, so concurrent engine-level callers need no external
-// fencing. Inline
-// mode (0 workers) is single-threaded by construction: tasks run inside
-// submit() on the calling thread, and all calls must come from one thread
-// at a time.
+// fencing. Inline mode (0 workers) is single-threaded by construction:
+// tasks run inside submit() on the calling thread, and all calls must come
+// from one thread at a time.
 //
 // Error model: the first exception thrown by a task cancels all
 // not-yet-started tasks; wait_all() rethrows it.
@@ -69,24 +52,13 @@
 
 namespace parmvn::rt {
 
-/// Which scheduler implementation a Runtime uses. kDefault resolves to
-/// kGlobalQueue when the PARMVN_SCHED_GLOBAL environment variable is set to
-/// a non-zero value, else kWorkSteal.
-enum class SchedulerKind {
-  kDefault,
-  kWorkSteal,
-  kGlobalQueue,
-};
-
 class Runtime {
  public:
   /// @param num_threads worker threads; 0 = inline mode (tasks execute
   ///        immediately on submit — submission order is always a valid
   ///        topological order under sequential consistency).
   /// @param enable_trace record per-task timing (see trace()).
-  /// @param sched scheduler arm; kDefault consults PARMVN_SCHED_GLOBAL.
-  explicit Runtime(int num_threads, bool enable_trace = false,
-                   SchedulerKind sched = SchedulerKind::kDefault);
+  explicit Runtime(int num_threads, bool enable_trace = false);
   Runtime();  // default_num_threads() workers
 
   Runtime(const Runtime&) = delete;
@@ -110,7 +82,7 @@ class Runtime {
   /// consumed during the call (never stored), so fine-grained graphs pay no
   /// per-task access-list copy. The name is only materialised when tracing
   /// is enabled. `priority` follows the ladder in runtime/priority.hpp
-  /// (any int is legal; the work-stealing arm clamps it into its lanes).
+  /// (any int is legal; higher runs earlier).
   void submit(std::string_view name, std::span<const DataAccess> accesses,
               std::function<void()> fn, int priority = 0);
   void submit(std::string_view name,
@@ -152,11 +124,6 @@ class Runtime {
 
   [[nodiscard]] int num_threads() const noexcept;
 
-  /// The scheduler arm this runtime resolved to at construction (kDefault
-  /// is resolved; inline-mode runtimes report the arm they would have used
-  /// with workers).
-  [[nodiscard]] SchedulerKind scheduler() const noexcept;
-
   /// Process-unique id of this runtime instance (monotonic, never reused).
   /// Data handles are only meaningful within the runtime that registered
   /// them; caches that hold handle-bearing objects across calls key on this
@@ -171,8 +138,9 @@ class Runtime {
   /// Total tasks executed since construction.
   [[nodiscard]] i64 tasks_executed() const noexcept;
 
-  /// Tasks executed by a worker other than the one whose deque/inbox they
-  /// were first placed in (work-stealing arm only; 0 elsewhere).
+  /// Always 0: the single ready queue places no task on a particular
+  /// worker, so none is ever stolen. Kept because the pipeline benchmark
+  /// (perfbench/) reads it to report runtime.steal_frac.
   [[nodiscard]] i64 tasks_stolen() const noexcept;
 
   /// Handle slots this runtime could not reclaim because a
@@ -192,7 +160,7 @@ class Runtime {
   [[nodiscard]] const std::vector<TaskRecord>& trace() const;
 
   /// Internal scheduler interface (see runtime/runtime_impl.hpp); publicly
-  /// *named* so the scheduler translation units can derive from it, but
+  /// *named* so the implementation translation units can derive from it, but
   /// defined only in the internal header.
   struct Impl;
 

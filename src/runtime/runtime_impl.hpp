@@ -1,14 +1,11 @@
-// Internal interface between the Runtime facade and its scheduler arms.
-// Not installed / not part of the public surface — runtime.cpp and the
-// scheduler_*.cpp translation units are the only includers.
+// Internal interface between the Runtime facade and its implementations.
+// Not installed / not part of the public surface — runtime.cpp and
+// scheduler_global.cpp are the only includers.
 //
-// Three implementations exist:
-//   * make_inline_impl      — 0 workers: tasks execute inside submit().
-//   * make_global_impl      — the pre-PR-5 single-lock scheduler, frozen as
-//                             the A/B baseline arm (scheduler_global.cpp).
-//   * make_worksteal_impl   — per-worker Chase–Lev lane deques with
-//                             locality-aware placement and atomic
-//                             dependency counting (scheduler_worksteal.cpp).
+// Two implementations exist:
+//   * make_inline_impl  — 0 workers: tasks execute inside submit().
+//   * make_global_impl  — the worker pool: one priority-ordered ready queue
+//                         under a single lock (scheduler_global.cpp).
 #pragma once
 
 #include <atomic>
@@ -21,8 +18,7 @@
 namespace parmvn::rt {
 
 struct Runtime::Impl {
-  Impl(u64 uid_arg, bool tracing_arg, SchedulerKind kind_arg)
-      : uid(uid_arg), tracing(tracing_arg), kind(kind_arg) {}
+  Impl(u64 uid_arg, bool tracing_arg) : uid(uid_arg), tracing(tracing_arg) {}
   virtual ~Impl() = default;
 
   virtual DataHandle register_handle(std::string debug_name) = 0;
@@ -46,7 +42,6 @@ struct Runtime::Impl {
 
   [[nodiscard]] virtual int num_threads() const noexcept = 0;
   [[nodiscard]] virtual const std::vector<TaskRecord>& trace() const = 0;
-  [[nodiscard]] virtual i64 tasks_stolen() const noexcept { return 0; }
 
   /// One mid-run trace failure (ENOMEM appending a record) downgrades
   /// tracing to off for the rest of the runtime's life instead of
@@ -58,7 +53,6 @@ struct Runtime::Impl {
 
   const u64 uid;
   const bool tracing;
-  const SchedulerKind kind;  // resolved arm (never kDefault)
   /// Backs Runtime::exclusive_epoch(): host threads sharing one runtime
   /// serialise their submit…wait_all phases on this mutex (the scheduler
   /// itself never touches it — it only orders *host-side* epochs).
@@ -70,11 +64,8 @@ struct Runtime::Impl {
   std::atomic<bool> trace_ok{true};
 };
 
-std::unique_ptr<Runtime::Impl> make_inline_impl(u64 uid, bool tracing,
-                                                SchedulerKind kind);
+std::unique_ptr<Runtime::Impl> make_inline_impl(u64 uid, bool tracing);
 std::unique_ptr<Runtime::Impl> make_global_impl(u64 uid, int threads,
                                                 bool tracing);
-std::unique_ptr<Runtime::Impl> make_worksteal_impl(u64 uid, int threads,
-                                                   bool tracing);
 
 }  // namespace parmvn::rt

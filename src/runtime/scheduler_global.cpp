@@ -1,14 +1,12 @@
-// The pre-PR-5 single-lock scheduler, frozen as the A/B baseline arm
-// (SchedulerKind::kGlobalQueue, or PARMVN_SCHED_GLOBAL=1 for Runtimes
-// constructed with kDefault).
+// The threaded scheduler: one priority-ordered ready queue under one lock.
 //
 // Design: every piece of mutable state — the handle table, the task graph,
 // the ready priority queue — lives under one mutex; workers take that lock
-// to pop a task and again to record its completion. Simple and correct, but
-// at fine task granularity (nb = 64 tiles, engine sweep rounds) the lock —
-// not the kernels — bounds strong scaling, which is exactly what
-// bench_scheduler measures against the work-stealing arm. Do not "improve"
-// this file; it is the experiment control.
+// to pop a task and again to record its completion. The ready queue runs
+// the highest priority first and, within equal priority, the earliest
+// submission first. A ready submission wakes one idle worker; a completion
+// that readies successors wakes them all. Inline mode (0 workers) lives in
+// runtime.cpp.
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
@@ -55,7 +53,7 @@ struct HandleState {
 class GlobalImpl final : public Runtime::Impl {
  public:
   GlobalImpl(u64 uid_arg, int threads, bool trace_on)
-      : Impl(uid_arg, trace_on, SchedulerKind::kGlobalQueue) {
+      : Impl(uid_arg, trace_on) {
     PARMVN_EXPECTS(threads >= 1);
     workers.reserve(static_cast<std::size_t>(threads));
     for (int w = 0; w < threads; ++w) {
@@ -247,7 +245,7 @@ class GlobalImpl final : public Runtime::Impl {
       if (rec) {
         // Never let a record-append failure escape the worker loop (it
         // would terminate) or masquerade as a task error: downgrade
-        // tracing instead. Same policy as the work-stealing arm.
+        // tracing instead.
         try {
           PARMVN_FAULT_POINT("rt.trace");
           records.push_back({task->name, worker_id, t0, t1,
@@ -276,9 +274,8 @@ class GlobalImpl final : public Runtime::Impl {
     }
   }
 
-  // All mutable state below is guarded by `mutex` — the single-lock design
-  // this arm exists to preserve (mutable so the const cancel_requested()
-  // probe can take it).
+  // All mutable state below is guarded by `mutex` (mutable so the const
+  // cancel_requested() probe can take it).
   mutable std::mutex mutex;
   std::condition_variable ready_cv;
   std::condition_variable done_cv;

@@ -30,7 +30,7 @@ void write_chrome_trace(const std::vector<TaskRecord>& records,
     out << R"({"name":")" << r.name << R"(","ph":"X","pid":0,"tid":)"
         << r.worker << R"(,"ts":)" << std::fixed << std::setprecision(3)
         << r.start_s * 1e6 << R"(,"dur":)" << (r.end_s - r.start_s) * 1e6
-        << R"(,"args":{"stolen":)" << (r.stolen ? "true" : "false") << "}}";
+        << "}";
   }
   out << "\n]\n";
   out.flush();
@@ -43,25 +43,22 @@ void write_chrome_trace(const std::vector<TaskRecord>& records,
 std::string summarize_trace(const std::vector<TaskRecord>& records) {
   struct Agg {
     int count = 0;
-    int stolen = 0;
     double total_s = 0.0;
   };
   std::map<std::string, Agg> by_name;
   for (const TaskRecord& r : records) {
     Agg& a = by_name[r.name];
     ++a.count;
-    if (r.stolen) ++a.stolen;
     a.total_s += r.end_s - r.start_s;
   }
   std::ostringstream os;
   os << std::left << std::setw(24) << "task" << std::right << std::setw(10)
-     << "count" << std::setw(10) << "stolen" << std::setw(14) << "total_s"
-     << std::setw(14) << "mean_ms" << "\n";
+     << "count" << std::setw(14) << "total_s" << std::setw(14) << "mean_ms"
+     << "\n";
   for (const auto& [name, agg] : by_name) {
     os << std::left << std::setw(24) << name << std::right << std::setw(10)
-       << agg.count << std::setw(10) << agg.stolen << std::setw(14)
-       << std::fixed << std::setprecision(4) << agg.total_s << std::setw(14)
-       << std::setprecision(4)
+       << agg.count << std::setw(14) << std::fixed << std::setprecision(4)
+       << agg.total_s << std::setw(14) << std::setprecision(4)
        << (agg.count > 0 ? 1e3 * agg.total_s / agg.count : 0.0) << "\n";
   }
   return os.str();

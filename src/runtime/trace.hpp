@@ -1,4 +1,5 @@
-// Execution trace of a runtime session (one record per task).
+// Execution trace of a runtime session (one record per task, written by
+// the worker that ran it).
 #pragma once
 
 #include <string>
@@ -11,9 +12,9 @@ struct TaskRecord {
   int worker = -1;
   double start_s = 0.0;
   double end_s = 0.0;
-  // Work-stealing arm: true when the task ran on a worker other than the
-  // one whose deque/inbox it was first placed in (always false on the
-  // global-queue arm, which has no task placement).
+  // Always false: the single ready queue places no task on a particular
+  // worker, so none is ever stolen. Kept because the pipeline benchmark
+  // (perfbench/) reads it for its trace files and runtime.steal_frac.
   bool stolen = false;
 };
 

@@ -48,12 +48,11 @@ void ServeOptions::validate() const {
   engine.validate();
 }
 
-Server::Server(ServeOptions opts, int runtime_threads, rt::SchedulerKind sched)
+Server::Server(ServeOptions opts, int runtime_threads)
     : opts_(std::move(opts)) {
   PARMVN_EXPECTS(runtime_threads >= 0);
   opts_.validate();
-  rt_ = std::make_unique<rt::Runtime>(runtime_threads, /*enable_trace=*/false,
-                                      sched);
+  rt_ = std::make_unique<rt::Runtime>(runtime_threads);
   cache_ = std::make_unique<engine::FactorCache>(opts_.cache_capacity);
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }

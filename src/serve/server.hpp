@@ -73,10 +73,9 @@ struct FieldSpec {
 class Server {
  public:
   /// Validates `opts` (typed errors), builds the serving Runtime (with
-  /// `runtime_threads` workers on the given scheduler arm) and the
-  /// FactorCache, and starts the dispatcher thread.
-  explicit Server(ServeOptions opts, int runtime_threads = 2,
-                  rt::SchedulerKind sched = rt::SchedulerKind::kDefault);
+  /// `runtime_threads` workers) and the FactorCache, and starts the
+  /// dispatcher thread.
+  explicit Server(ServeOptions opts, int runtime_threads = 2);
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;

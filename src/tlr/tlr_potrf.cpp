@@ -161,22 +161,25 @@ double potrf_tlr_flops(const TlrMatrix& a) {
       const double m = static_cast<double>(a.tile_rows(i));
       flops += nb * nb * r;            // TRSM on V
       flops += 2.0 * m * r * (r + m);  // SYRK-shaped diagonal update
-      for (i64 j = k + 1; j < i; ++j) {
-        const double rj = rank_of(j, k);
-        const double rij = rank_of(i, j);
-        const double rsum = rij + rj;  // rank entering the recompression
-        const double rsum3 = rsum * rsum * rsum;
-        // Cross product V_ik^T V_jk and the update's U factor.
-        flops += 2.0 * nb * r * rj + 2.0 * m * r * rj;
-        // Householder QR of both factors (m x rsum and nb x rsum).
-        flops += 2.0 * (m + nb) * rsum * rsum - 4.0 / 3.0 * rsum3;
-        // Core R_u R_v^T and its one-sided Jacobi SVD.
-        flops += (2.0 + kJacobiFlopsPerCube) * rsum3;
-        // Reflectors applied to the rij kept columns on each side.
-        flops += 4.0 * (m + nb) * rsum * rij;
-      }
+      for (i64 j = k + 1; j < i; ++j)
+        flops += lr_update_flops(m, nb, r, rank_of(j, k), rank_of(i, j));
     }
   }
+  return flops;
+}
+
+double lr_update_flops(double m, double nb, double r_ik, double r_jk,
+                       double r_ij) noexcept {
+  const double rsum = r_ij + r_jk;  // rank entering the recompression
+  const double rsum3 = rsum * rsum * rsum;
+  // Cross product V_ik^T V_jk and the update's U factor.
+  double flops = 2.0 * nb * r_ik * r_jk + 2.0 * m * r_ik * r_jk;
+  // Householder QR of both factors (m x rsum and nb x rsum).
+  flops += 2.0 * (m + nb) * rsum * rsum - 4.0 / 3.0 * rsum3;
+  // Core R_u R_v^T and its one-sided Jacobi SVD.
+  flops += (2.0 + kJacobiFlopsPerCube) * rsum3;
+  // Reflectors applied to the r_ij kept columns on each side.
+  flops += 4.0 * (m + nb) * rsum * r_ij;
   return flops;
 }
 

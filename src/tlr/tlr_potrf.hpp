@@ -32,7 +32,18 @@ struct PotrfTlrInfo {
 PotrfTlrInfo potrf_tlr(rt::Runtime& rt, TlrMatrix& a, int max_retries = 4);
 
 /// Approximate flop count of the TLR factorization given the realised rank
-/// grid (used by the distributed cost model and bench reports).
+/// grid.
 [[nodiscard]] double potrf_tlr_flops(const TlrMatrix& a);
+
+/// Approximate flops of one low-rank GEMM update C_ij -= A_ik A_jk^T with
+/// recompression, as potrf_tlr runs it: the cross product and the update's
+/// U factor, Householder QR of both concatenated factors, the core product
+/// and its one-sided Jacobi SVD, and the reflectors applied to the r_ij
+/// kept columns. `m` is the row count of tile i, `nb` that of tile k; the
+/// r_* are the ranks of tiles (i,k), (j,k) and (i,j). The one per-update
+/// count shared by potrf_tlr_flops and the distributed cost model
+/// (dist::cost_tlr_gemm).
+[[nodiscard]] double lr_update_flops(double m, double nb, double r_ik,
+                                     double r_jk, double r_ij) noexcept;
 
 }  // namespace parmvn::tlr

@@ -5,8 +5,8 @@
 //
 //  * adaptive determinism: the stop schedule is computed on the host thread
 //    from deterministic block sums, so adaptive results — including
-//    samples_used — are bitwise identical across worker counts AND across
-//    both scheduler arms (work-steal and global-queue);
+//    samples_used — are bitwise identical across worker counts (inline
+//    mode included);
 //  * budget honesty: a converged adaptive estimate agrees with the
 //    full-budget reference within the combined error bars, never spends
 //    more than the fixed budget, and reports error3sigma <= abs_tol;
@@ -45,8 +45,6 @@ using namespace parmvn;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kWorkerMatrix[] = {1, 2, 8};
-constexpr rt::SchedulerKind kArms[] = {rt::SchedulerKind::kWorkSteal,
-                                       rt::SchedulerKind::kGlobalQueue};
 
 struct Problem {
   geo::LocationSet locs;
@@ -88,10 +86,10 @@ std::shared_ptr<const engine::CholeskyFactor> dense_factor(
 // one carrying a decision threshold, one a prefix sweep. Every per-query
 // number (probability, error, samples_used, shifts_used, converged flag,
 // prefix sweep) goes into the flattened comparison vector.
-std::vector<double> run_adaptive(int workers, rt::SchedulerKind sched,
-                                 const Problem& pb, bool antithetic) {
+std::vector<double> run_adaptive(int workers, const Problem& pb,
+                                 bool antithetic) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  rt::Runtime rt(workers, /*enable_trace=*/false, sched);
+  rt::Runtime rt(workers);
   const i64 n = gen.rows();
   const engine::PmvnEngine eng(rt, dense_factor(rt, gen),
                                adaptive_opts(antithetic));
@@ -118,22 +116,17 @@ std::vector<double> run_adaptive(int workers, rt::SchedulerKind sched,
   return flat;
 }
 
-TEST(Adaptive, BitwiseIdenticalAcrossWorkersAndSchedulerArms) {
+TEST(Adaptive, BitwiseIdenticalAcrossWorkers) {
   const Problem pb(10);
   for (const bool antithetic : {false, true}) {
-    const std::vector<double> reference =
-        run_adaptive(1, rt::SchedulerKind::kWorkSteal, pb, antithetic);
-    for (const rt::SchedulerKind sched : kArms) {
-      for (const int workers : kWorkerMatrix) {
-        const std::vector<double> got =
-            run_adaptive(workers, sched, pb, antithetic);
-        ASSERT_EQ(got.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i)
-          EXPECT_DOUBLE_EQ(got[i], reference[i])
-              << "adaptive drifted, workers=" << workers
-              << " arm=" << static_cast<int>(sched) << " value=" << i
-              << " antithetic=" << antithetic;
-      }
+    const std::vector<double> reference = run_adaptive(0, pb, antithetic);
+    for (const int workers : kWorkerMatrix) {
+      const std::vector<double> got = run_adaptive(workers, pb, antithetic);
+      ASSERT_EQ(got.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i)
+        EXPECT_DOUBLE_EQ(got[i], reference[i])
+            << "adaptive drifted, workers=" << workers << " value=" << i
+            << " antithetic=" << antithetic;
     }
   }
 }

@@ -3,8 +3,8 @@
 // with respect to every data handle — so for a fixed seed the PMVN estimate
 // must be *bitwise identical* no matter how many workers execute the task
 // graph. Runs the dense, TLR and Vecchia pipelines (factorization +
-// probability sweep) under 1, 2 and 8 workers — the Vecchia arm across
-// both scheduler implementations — and compares against a serial reference.
+// probability sweep) under 1, 2 and 8 workers and compares against a
+// serial reference.
 //
 // Any later change that makes task arithmetic schedule-dependent (atomics
 // with relaxed reduction order, worker-local accumulators merged in
@@ -119,11 +119,9 @@ TEST(Determinism, TlrPipelineBitwiseIdenticalAcrossWorkers) {
 // the comparison covers probabilities, error bars and prefix sweeps.
 std::vector<double> run_batched(int workers, const Problem& pb,
                                 stats::SamplerKind sampler,
-                                engine::FactorKind kind,
-                                rt::SchedulerKind sched =
-                                    rt::SchedulerKind::kDefault) {
+                                engine::FactorKind kind) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  rt::Runtime rt(workers, /*enable_trace=*/false, sched);
+  rt::Runtime rt(workers);
   const i64 n = gen.rows();
   std::vector<i64> identity(static_cast<std::size_t>(n));
   std::iota(identity.begin(), identity.end(), i64{0});
@@ -189,30 +187,25 @@ TEST(Determinism, BatchedTlrPipelineBitwiseIdenticalAcrossWorkers) {
   }
 }
 
-TEST(Determinism, BatchedVecchiaBitwiseAcrossWorkersAndSchedulerArms) {
+TEST(Determinism, BatchedVecchiaBitwiseAcrossWorkers) {
   // The Vecchia arm's determinism contract is the same as dense/TLR even
-  // though its sweep uses the mean-panel protocol: per-worker-count,
-  // per-scheduler-arm runs must be bitwise identical to the serial
-  // reference. The cross-tile axpy accumulation order is fixed by the
-  // factor (not by execution order), and the per-column-tile task chain is
-  // serialized by the p-handle, so this holds by construction — this test
-  // keeps it true.
+  // though its sweep uses the mean-panel protocol: per-worker-count runs
+  // must be bitwise identical to the serial reference. The cross-tile axpy
+  // accumulation order is fixed by the factor (not by execution order),
+  // and the per-column-tile task chain is serialized by the p-handle, so
+  // this holds by construction — this test keeps it true.
   const Problem pb(10);
   const std::vector<double> reference =
       run_batched(/*workers=*/0, pb, stats::SamplerKind::kRichtmyer,
                   engine::FactorKind::kVecchia);
-  for (auto sched :
-       {rt::SchedulerKind::kWorkSteal, rt::SchedulerKind::kGlobalQueue}) {
-    for (int workers : kWorkerMatrix) {
-      const std::vector<double> got =
-          run_batched(workers, pb, stats::SamplerKind::kRichtmyer,
-                      engine::FactorKind::kVecchia, sched);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_DOUBLE_EQ(got[i], reference[i])
-            << "batched vecchia drifted, workers=" << workers
-            << " sched=" << static_cast<int>(sched) << " value=" << i;
-    }
+  for (int workers : kWorkerMatrix) {
+    const std::vector<double> got =
+        run_batched(workers, pb, stats::SamplerKind::kRichtmyer,
+                    engine::FactorKind::kVecchia);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_DOUBLE_EQ(got[i], reference[i])
+          << "batched vecchia drifted, workers=" << workers << " value=" << i;
   }
 }
 

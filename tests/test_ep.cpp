@@ -12,9 +12,9 @@
 //    the cold start and to the same fixed point;
 //  * tiered detection never flips a region side versus the QMC-only sweep,
 //    while actually retiring queries through the EP tier;
-//  * tiered results are bitwise identical across worker counts and both
-//    scheduler arms (EP runs on the host thread from deterministic factor
-//    bits; the QMC sub-batch inherits the engine's schedule independence);
+//  * tiered results are bitwise identical across worker counts (EP runs on
+//    the host thread from deterministic factor bits; the QMC sub-batch
+//    inherits the engine's schedule independence);
 //  * the Vecchia arm screens through its observed-slot generative rows.
 #include <gtest/gtest.h>
 
@@ -41,8 +41,6 @@ using namespace parmvn;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kWorkerMatrix[] = {1, 2, 8};
-constexpr rt::SchedulerKind kArms[] = {rt::SchedulerKind::kWorkSteal,
-                                       rt::SchedulerKind::kGlobalQueue};
 
 // Brute-force truncated moments of a standard normal on [alpha, beta]:
 // composite Simpson over the effective support, accurate far beyond the
@@ -316,8 +314,7 @@ TEST(Tiered, NeverFlipsRegionSide) {
   EXPECT_LT(ep_retired, static_cast<int>(got.size()));
 }
 
-std::vector<double> run_tiered(int workers, rt::SchedulerKind sched,
-                               const Problem& pb,
+std::vector<double> run_tiered(int workers, const Problem& pb,
                                const std::vector<double>& mean,
                                const std::vector<core::CrdQuery>& queries) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
@@ -325,7 +322,7 @@ std::vector<double> run_tiered(int workers, rt::SchedulerKind sched,
   opts.pmvn.tiered = true;
   opts.pmvn.adaptive = true;
   opts.pmvn.abs_tol = 1e-3;
-  rt::Runtime rt(workers, /*enable_trace=*/false, sched);
+  rt::Runtime rt(workers);
   const std::vector<core::CrdResult> results =
       core::detect_confidence_regions(rt, gen, mean, opts, queries);
   std::vector<double> flat;
@@ -339,23 +336,18 @@ std::vector<double> run_tiered(int workers, rt::SchedulerKind sched,
   return flat;
 }
 
-TEST(Tiered, BitwiseIdenticalAcrossWorkersAndSchedulerArms) {
+TEST(Tiered, BitwiseIdenticalAcrossWorkers) {
   const Problem pb(8);
   const std::vector<double> mean = bump_mean(pb.locs);
   const std::vector<core::CrdQuery> queries = threshold_ladder();
 
-  const std::vector<double> reference =
-      run_tiered(1, rt::SchedulerKind::kWorkSteal, pb, mean, queries);
-  for (const rt::SchedulerKind sched : kArms) {
-    for (const int workers : kWorkerMatrix) {
-      const std::vector<double> got =
-          run_tiered(workers, sched, pb, mean, queries);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_DOUBLE_EQ(got[i], reference[i])
-            << "tiered drifted, workers=" << workers
-            << " arm=" << static_cast<int>(sched) << " value=" << i;
-    }
+  const std::vector<double> reference = run_tiered(0, pb, mean, queries);
+  for (const int workers : kWorkerMatrix) {
+    const std::vector<double> got = run_tiered(workers, pb, mean, queries);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_DOUBLE_EQ(got[i], reference[i])
+          << "tiered drifted, workers=" << workers << " value=" << i;
   }
 }
 

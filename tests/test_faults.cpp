@@ -1,6 +1,6 @@
 // Failure-domain tests: every error path driven on purpose through the
-// deterministic fault-injection sites (common/fault.hpp), across both
-// scheduler arms. Covered sites:
+// deterministic fault-injection sites (common/fault.hpp), across worker
+// counts. Covered sites:
 //   tile.potrf.pivot, tlr.potrf.pivot, engine.factor, engine.panel_init,
 //   engine.qmc, engine.submit, engine.register, ep.sweep, vecchia.fit,
 //   rt.trace
@@ -37,9 +37,6 @@ namespace {
 using namespace parmvn;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-constexpr rt::SchedulerKind kArms[] = {rt::SchedulerKind::kWorkSteal,
-                                       rt::SchedulerKind::kGlobalQueue};
 
 struct SpatialProblem {
   geo::LocationSet locs;
@@ -115,18 +112,18 @@ TEST(FaultLib, UnarmedSitesNeverPayThePlanLookup) {
 // ------------------------------------------------------------ cancel token
 
 TEST(Cancel, PendingTasksBecomeNoOpsAndRuntimeStaysReusable) {
-  for (const rt::SchedulerKind arm : kArms) {
-    rt::Runtime rt(2, /*enable_trace=*/false, arm);
+  for (const int workers : {1, 2}) {
+    rt::Runtime rt(workers);
     std::atomic<int> gates_entered{0};
     std::atomic<bool> release_gates{false};
     std::atomic<int> ran{0};
-    // Park both workers so the queued work cannot start before cancel().
-    for (int g = 0; g < 2; ++g)
+    // Park every worker so the queued work cannot start before cancel().
+    for (int g = 0; g < workers; ++g)
       rt.submit("gate", {}, [&] {
         gates_entered.fetch_add(1);
         while (!release_gates.load()) std::this_thread::yield();
       });
-    while (gates_entered.load() < 2) std::this_thread::yield();
+    while (gates_entered.load() < workers) std::this_thread::yield();
     for (int i = 0; i < 64; ++i)
       rt.submit("work", {}, [&] { ran.fetch_add(1); });
 
@@ -159,10 +156,10 @@ TEST(Cancel, InlineRuntimeSkipsSubmitsAfterCancel) {
 
 // --------------------------------------------------- dense pivot + jitter
 
-TEST(DenseFactor, PivotFaultPropagatesAsTypedErrorOnBothArms) {
+TEST(DenseFactor, PivotFaultPropagatesAsTypedError) {
   const SpatialProblem pb(6);
-  for (const rt::SchedulerKind arm : kArms) {
-    rt::Runtime rt(2, false, arm);
+  for (const int workers : {1, 2}) {
+    rt::Runtime rt(workers);
     {
       const fault::ScopedFault f("tile.potrf.pivot");
       EXPECT_THROW((void)dense_factor(rt, pb), Error);
@@ -277,8 +274,8 @@ TEST(EngineFaults, EverySweepSiteReleasesHandlesAndLeavesEngineReusable) {
   // After each injected failure the engine must still produce bit-identical
   // results, and the round handles must have been returned.
   const SpatialProblem pb(6);
-  for (const rt::SchedulerKind arm : kArms) {
-    rt::Runtime rt(2, false, arm);
+  for (const int workers : {1, 2}) {
+    rt::Runtime rt(workers);
     const auto factor = dense_factor(rt, pb);
     const engine::PmvnEngine eng(rt, factor, small_opts());
     const std::vector<double> a(static_cast<std::size_t>(pb.n()), -0.5);
@@ -358,8 +355,8 @@ TEST(Deadline, BatchRetiresWithPartialResultsInsteadOfRunningOver) {
   // query must come back with at least one shift block, marked kDeadline,
   // not converged — and nothing hangs or aborts.
   const SpatialProblem pb(8);
-  for (const rt::SchedulerKind arm : kArms) {
-    rt::Runtime rt(4, false, arm);
+  for (const int workers : {1, 4}) {
+    rt::Runtime rt(workers);
     const auto factor = dense_factor(rt, pb);
     engine::EngineOptions opts;
     opts.samples_per_shift = 5000;
@@ -598,8 +595,8 @@ TEST(VecchiaFactor, FitFaultPropagatesAndRebuildSucceeds) {
 }
 
 TEST(Trace, RecordFaultDisablesTracingInsteadOfFailingTheEpoch) {
-  for (const rt::SchedulerKind arm : kArms) {
-    rt::Runtime rt(2, /*enable_trace=*/true, arm);
+  for (const int workers : {1, 2}) {
+    rt::Runtime rt(workers, /*enable_trace=*/true);
     std::atomic<int> ran{0};
     {
       const fault::ScopedFault f("rt.trace", /*first_hit=*/1, /*trips=*/1);

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -307,6 +306,28 @@ TEST(Runtime, TraceRecordsTasks) {
     EXPECT_GE(rec.worker, 0);
   }
   EXPECT_FALSE(rt::summarize_trace(rt.trace()).empty());
+
+  // A wide independent graph at 4 workers: every task is recorded exactly
+  // once, by a real worker, however the pool interleaves them; the single
+  // ready queue never steals.
+  Runtime wide(4, /*enable_trace=*/true);
+  std::vector<DataHandle> hs;
+  for (int i = 0; i < 200; ++i) hs.push_back(wide.register_data());
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 200; ++i) {
+    wide.submit("wide", {{hs[static_cast<std::size_t>(i)], Access::kWrite}},
+                [&] { ran.fetch_add(1); });
+  }
+  wide.wait_all();
+  EXPECT_EQ(ran.load(), 200);
+  ASSERT_EQ(wide.trace().size(), 200u);
+  for (const auto& rec : wide.trace()) {
+    EXPECT_EQ(rec.name, "wide");
+    EXPECT_GE(rec.worker, 0);
+    EXPECT_LT(rec.worker, 4);
+    EXPECT_FALSE(rec.stolen);
+  }
+  EXPECT_EQ(wide.tasks_stolen(), 0);
 }
 
 TEST(Runtime, InvalidHandleRejected) {
@@ -331,76 +352,13 @@ TEST(Runtime, PriorityDoesNotBreakCorrectness) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-// ---- scheduler arms ----
-
-using rt::SchedulerKind;
-
-constexpr SchedulerKind kArms[] = {SchedulerKind::kWorkSteal,
-                                   SchedulerKind::kGlobalQueue};
-
-const char* arm_name(SchedulerKind k) {
-  return k == SchedulerKind::kWorkSteal ? "worksteal" : "global";
-}
-
-TEST(Runtime, SchedulerKindExplicitSelection) {
-  Runtime ws(2, false, SchedulerKind::kWorkSteal);
-  EXPECT_EQ(ws.scheduler(), SchedulerKind::kWorkSteal);
-  Runtime gq(2, false, SchedulerKind::kGlobalQueue);
-  EXPECT_EQ(gq.scheduler(), SchedulerKind::kGlobalQueue);
-  EXPECT_EQ(gq.tasks_stolen(), 0) << "the global queue has no steal path";
-
-  // Both arms execute the same trivial graph.
-  for (Runtime* rt : {&ws, &gq}) {
-    auto h = rt->register_data();
-    int x = 0;
-    rt->submit("w", {{h, Access::kWrite}}, [&] { x = 1; });
-    rt->submit("rw", {{h, Access::kReadWrite}}, [&] { x += 1; });
-    rt->wait_all();
-    EXPECT_EQ(x, 2);
-  }
-}
-
-TEST(Runtime, SchedulerEnvGlobalSelection) {
-  // Preserve the inherited value: CI's PARMVN_SCHED_GLOBAL=1 pass relies on
-  // later kDefault-constructed runtimes still seeing it.
-  const char* inherited = ::getenv("PARMVN_SCHED_GLOBAL");
-  const std::string saved = inherited != nullptr ? inherited : "";
-
-  // kDefault consults PARMVN_SCHED_GLOBAL at construction time.
-  ::setenv("PARMVN_SCHED_GLOBAL", "1", 1);
-  {
-    Runtime rt(1);
-    EXPECT_EQ(rt.scheduler(), SchedulerKind::kGlobalQueue);
-  }
-  ::unsetenv("PARMVN_SCHED_GLOBAL");
-  {
-    Runtime rt(1);
-    EXPECT_EQ(rt.scheduler(), SchedulerKind::kWorkSteal);
-  }
-  // An explicit kind overrides the environment.
-  ::setenv("PARMVN_SCHED_GLOBAL", "1", 1);
-  {
-    Runtime rt(1, false, SchedulerKind::kWorkSteal);
-    EXPECT_EQ(rt.scheduler(), SchedulerKind::kWorkSteal);
-  }
-
-  if (inherited != nullptr) {
-    ::setenv("PARMVN_SCHED_GLOBAL", saved.c_str(), 1);
-  } else {
-    ::unsetenv("PARMVN_SCHED_GLOBAL");
-  }
-}
-
 // ---- scheduler stress suite ----
 //
-// Exercised against both arms: the work-stealing scheduler (per-worker
-// deques, atomic dependency counts, sharded submit path) and the frozen
-// single-lock baseline. TSan runs this suite in CI for both (the
-// RelWithDebInfo+TSan job repeats it with PARMVN_SCHED_GLOBAL=1).
+// Adversarial graphs at up to 8 workers; TSan runs this suite in CI.
 
 // One generated random-DAG "program", replayable on any runtime: kTasks
 // tasks over kHandles cells, each ReadWrite on one handle plus up to two
-// Reads, with priorities outside the named ladder to exercise clamping.
+// Reads, with priorities outside the named ladder (any int is legal).
 struct DagOp {
   int dst;
   int src1;  // -1 = none
@@ -422,7 +380,7 @@ std::vector<DagOp> make_dag(int handles, int tasks, u64 seed) {
     op.src2 = static_cast<int>(g.next() % static_cast<u64>(handles));
     if (op.src1 == op.dst) op.src1 = -1;
     if (op.src2 == op.dst || op.src2 == op.src1) op.src2 = -1;
-    op.prio = static_cast<int>(g.next() % 9) - 2;  // [-2, 6]: clamps both ends
+    op.prio = static_cast<int>(g.next() % 9) - 2;  // [-2, 6]
     op.expect_v1 =
         op.src1 >= 0 ? writers[static_cast<std::size_t>(op.src1)] : -1;
     op.expect_v2 =
@@ -438,10 +396,9 @@ std::vector<DagOp> make_dag(int handles, int tasks, u64 seed) {
 // promises is what makes the plain push_back legal — TSan enforces it), and
 // every Read records the handle's version counter, which must equal the
 // number of writers submitted before it.
-void run_seqcst_dag(SchedulerKind arm, int workers, int handles, int tasks,
-                    u64 seed) {
+void run_seqcst_dag(int workers, int handles, int tasks, u64 seed) {
   const std::vector<DagOp> ops = make_dag(handles, tasks, seed);
-  Runtime rt(workers, false, arm);
+  Runtime rt(workers);
   std::vector<DataHandle> hs;
   for (int i = 0; i < handles; ++i) hs.push_back(rt.register_data());
   std::vector<std::vector<int>> log(static_cast<std::size_t>(handles));
@@ -479,28 +436,27 @@ void run_seqcst_dag(SchedulerKind arm, int workers, int handles, int tasks,
   for (int h = 0; h < handles; ++h)
     ASSERT_EQ(log[static_cast<std::size_t>(h)],
               expected[static_cast<std::size_t>(h)])
-        << arm_name(arm) << " workers=" << workers << " handle=" << h;
+        << "workers=" << workers << " handle=" << h;
   // Every Read saw exactly the writes submitted before it (RAW + WAR).
   for (int t = 0; t < tasks; ++t) {
     const DagOp& op = ops[static_cast<std::size_t>(t)];
     EXPECT_EQ(seen[static_cast<std::size_t>(t)][0], op.expect_v1)
-        << arm_name(arm) << " workers=" << workers << " task=" << t;
+        << "workers=" << workers << " task=" << t;
     EXPECT_EQ(seen[static_cast<std::size_t>(t)][1], op.expect_v2)
-        << arm_name(arm) << " workers=" << workers << " task=" << t;
+        << "workers=" << workers << " task=" << t;
   }
 }
 
 TEST(RuntimeStress, RandomDagSequentialConsistencyPerHandle) {
-  for (SchedulerKind arm : kArms)
-    for (int workers : {2, 8})
-      run_seqcst_dag(arm, workers, /*handles=*/40, /*tasks=*/10000,
-                     /*seed=*/20240624);
+  for (int workers : {2, 8})
+    run_seqcst_dag(workers, /*handles=*/40, /*tasks=*/10000,
+                   /*seed=*/20240624);
 }
 
-double run_priority_program(SchedulerKind arm, int workers, u64 seed) {
+double run_priority_program(int workers, u64 seed) {
   constexpr int kCells = 24;
   constexpr int kTasks = 10000;
-  Runtime rt(workers, false, arm);
+  Runtime rt(workers);
   std::vector<DataHandle> handles;
   std::vector<double> cells(kCells);
   for (int i = 0; i < kCells; ++i) {
@@ -531,105 +487,66 @@ double run_priority_program(SchedulerKind arm, int workers, u64 seed) {
   return checksum;
 }
 
-TEST(RuntimeStress, RepeatRunsBitwiseAcrossArmsAndWorkerCounts) {
+TEST(RuntimeStress, RepeatRunsBitwiseAcrossWorkerCounts) {
   // The scheduler decides only *when* a task runs; arithmetic must be
-  // *bitwise* identical across arms, worker counts and repeat runs (the
-  // contract test_determinism enforces for the PMVN pipelines, here on a
-  // 10k-task adversarial DAG with mixed priorities). Compared as bit
-  // patterns: EXPECT_DOUBLE_EQ's 4-ULP band would let a sub-ULP
-  // reassociation bug through.
+  // *bitwise* identical across worker counts and repeat runs (the contract
+  // test_determinism enforces for the PMVN pipelines, here on a 10k-task
+  // adversarial DAG with mixed priorities). Compared as bit patterns:
+  // EXPECT_DOUBLE_EQ's 4-ULP band would let a sub-ULP reassociation bug
+  // through.
   const auto bits = [](double v) { return std::bit_cast<u64>(v); };
-  const u64 seed = 99;
-  const double reference = run_priority_program(SchedulerKind::kWorkSteal,
-                                                /*workers=*/0, seed);
-  for (SchedulerKind arm : kArms) {
-    for (int workers : {2, 8}) {
-      EXPECT_EQ(bits(run_priority_program(arm, workers, seed)),
-                bits(reference))
-          << arm_name(arm) << " workers=" << workers;
+  for (const u64 seed : {u64{99}, u64{1234}}) {
+    const double reference = run_priority_program(/*workers=*/0, seed);
+    for (int workers : {1, 2, 8}) {
+      EXPECT_EQ(bits(run_priority_program(workers, seed)), bits(reference))
+          << "workers=" << workers << " seed=" << seed;
     }
-  }
-  EXPECT_EQ(bits(run_priority_program(SchedulerKind::kWorkSteal, 8, seed)),
-            bits(reference))
-      << "repeat run drifted";
-}
-
-TEST(RuntimeStress, StealBatchToggleKeepsChecksumsBitwise) {
-  // PARMVN_STEAL_BATCH (default on) lets a thief take up to half a victim
-  // lane per successful steal instead of one task. Like every scheduling
-  // choice it may change only *when* tasks run, never their inputs: the
-  // 10k-task adversarial checksum must stay bitwise identical with the
-  // lever on, off, and across both arms (the global arm simply ignores it)
-  // and worker counts. The env knob latches at runtime construction, so
-  // each toggle builds fresh runtimes.
-  const auto bits = [](double v) { return std::bit_cast<u64>(v); };
-  const u64 seed = 1234;
-  const char* saved = std::getenv("PARMVN_STEAL_BATCH");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  const double reference =
-      run_priority_program(SchedulerKind::kWorkSteal, /*workers=*/0, seed);
-  for (const char* toggle : {"0", "1"}) {
-    ::setenv("PARMVN_STEAL_BATCH", toggle, 1);
-    for (SchedulerKind arm : kArms) {
-      for (int workers : {2, 8}) {
-        EXPECT_EQ(bits(run_priority_program(arm, workers, seed)),
-                  bits(reference))
-            << arm_name(arm) << " workers=" << workers
-            << " steal_batch=" << toggle;
-      }
-    }
-  }
-  if (saved != nullptr) {
-    ::setenv("PARMVN_STEAL_BATCH", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("PARMVN_STEAL_BATCH");
+    EXPECT_EQ(bits(run_priority_program(8, seed)), bits(reference))
+        << "repeat run drifted, seed=" << seed;
   }
 }
 
-TEST(RuntimeStress, StealPathExceptionCancellation) {
-  // A failing task must cancel its not-yet-started dependents on every
-  // arm, including when the failure and the dependents cross steal paths.
-  // Independent fodder tasks keep all 8 workers stealing while the error
+TEST(RuntimeStress, ExceptionCancellationUnderLoad) {
+  // A failing task must cancel its not-yet-started dependents while
+  // independent fodder tasks keep all 8 workers busy as the error
   // propagates; repeats vary the interleaving.
-  for (SchedulerKind arm : kArms) {
-    for (int rep = 0; rep < 10; ++rep) {
-      Runtime rt(8, false, arm);
-      auto h = rt.register_data();
-      std::vector<DataHandle> fodder;
-      for (int i = 0; i < 16; ++i) fodder.push_back(rt.register_data());
-      std::atomic<int> chain_ran{0};
-      for (int i = 0; i < 64; ++i) {
-        rt.submit("fodder",
-                  {{fodder[static_cast<std::size_t>(i % 16)],
-                    Access::kReadWrite}},
-                  [] {});
-      }
-      rt.submit("boom", {{h, Access::kWrite}},
-                [] { throw Error("stress boom"); });
-      for (int i = 0; i < 100; ++i) {
-        rt.submit("after", {{h, Access::kReadWrite}},
-                  [&] { chain_ran.fetch_add(1); });
-      }
-      EXPECT_THROW(rt.wait_all(), Error) << arm_name(arm) << " rep=" << rep;
-      EXPECT_EQ(chain_ran.load(), 0)
-          << arm_name(arm) << " rep=" << rep
-          << ": dependents of the failing task must be cancelled";
-      // The runtime stays usable after the error epoch.
-      int ok = 0;
-      rt.submit("ok", {{h, Access::kWrite}}, [&] { ok = 1; });
-      rt.wait_all();
-      EXPECT_EQ(ok, 1);
+  for (int rep = 0; rep < 20; ++rep) {
+    Runtime rt(8);
+    auto h = rt.register_data();
+    std::vector<DataHandle> fodder;
+    for (int i = 0; i < 16; ++i) fodder.push_back(rt.register_data());
+    std::atomic<int> chain_ran{0};
+    for (int i = 0; i < 64; ++i) {
+      rt.submit("fodder",
+                {{fodder[static_cast<std::size_t>(i % 16)],
+                  Access::kReadWrite}},
+                [] {});
     }
+    rt.submit("boom", {{h, Access::kWrite}},
+              [] { throw Error("stress boom"); });
+    for (int i = 0; i < 100; ++i) {
+      rt.submit("after", {{h, Access::kReadWrite}},
+                [&] { chain_ran.fetch_add(1); });
+    }
+    EXPECT_THROW(rt.wait_all(), Error) << "rep=" << rep;
+    EXPECT_EQ(chain_ran.load(), 0)
+        << "rep=" << rep
+        << ": dependents of the failing task must be cancelled";
+    // The runtime stays usable after the error epoch.
+    int ok = 0;
+    rt.submit("ok", {{h, Access::kWrite}}, [&] { ok = 1; });
+    rt.wait_all();
+    EXPECT_EQ(ok, 1);
   }
 }
 
-TEST(RuntimeStress, ReleaseDataUnderConcurrentStealing) {
+TEST(RuntimeStress, ReleaseDataUnderConcurrency) {
   // Engine-style round pattern at full worker churn: register transient
   // handles, run a graph over transient + persistent data, wait, release —
   // while a second submitter thread churns register/release on its own
-  // handles (the sharded handle table must isolate the two).
-  for (SchedulerKind arm : kArms) {
-    Runtime rt(8, false, arm);
+  // handles (the handle table must isolate the two).
+  for (int workers : {2, 8}) {
+    Runtime rt(workers);
     std::vector<DataHandle> persistent;
     for (int i = 0; i < 4; ++i) persistent.push_back(rt.register_data());
 
@@ -659,39 +576,15 @@ TEST(RuntimeStress, ReleaseDataUnderConcurrentStealing) {
     }
     stop.store(true);
     churn.join();
-    EXPECT_EQ(total.load(), 60 * 80) << arm_name(arm);
+    EXPECT_EQ(total.load(), 60 * 80) << "workers=" << workers;
     // Transient slots were recycled, not appended: the id space stays
-    // bounded by the peak number of simultaneously live handles (~20, times
-    // the sharded table's id stride), nowhere near the 480 transients the
-    // rounds would have appended without recycling.
+    // bounded by the peak number of simultaneously live handles (~20),
+    // nowhere near the 480 transients the rounds would have appended
+    // without recycling.
     const DataHandle after = rt.register_data();
-    EXPECT_LE(after.id(), 255) << arm_name(arm);
+    EXPECT_LE(after.id(), 255) << "workers=" << workers;
     rt.release_data(after);
   }
-}
-
-TEST(RuntimeStress, TraceRecordsStealsOnWorkStealArm) {
-  // A wide independent graph on the work-stealing arm: every task is
-  // recorded exactly once whether it ran at home or was stolen, and the
-  // summary exposes the steal column.
-  Runtime rt(4, /*enable_trace=*/true, SchedulerKind::kWorkSteal);
-  std::vector<DataHandle> hs;
-  for (int i = 0; i < 200; ++i) hs.push_back(rt.register_data());
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 200; ++i) {
-    rt.submit("wide", {{hs[static_cast<std::size_t>(i)], Access::kWrite}},
-              [&] { ran.fetch_add(1); });
-  }
-  rt.wait_all();
-  EXPECT_EQ(ran.load(), 200);
-  ASSERT_EQ(rt.trace().size(), 200u);
-  i64 stolen_records = 0;
-  for (const auto& rec : rt.trace()) {
-    EXPECT_GE(rec.worker, 0);
-    if (rec.stolen) ++stolen_records;
-  }
-  EXPECT_EQ(stolen_records, rt.tasks_stolen());
-  EXPECT_NE(rt::summarize_trace(rt.trace()).find("stolen"), std::string::npos);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // breaker, the overload degradation ladder, graceful drain with zero
 // leaked handles, the serve.* fault sites, and concurrent
 // detect_confidence_regions callers sharing one Runtime + FactorCache
-// (Runtime::exclusive_epoch) across both scheduler arms.
+// (Runtime::exclusive_epoch) at 1 and 2 workers.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -32,9 +32,6 @@ namespace {
 
 using namespace parmvn;
 using namespace std::chrono_literals;
-
-constexpr rt::SchedulerKind kArms[] = {rt::SchedulerKind::kWorkSteal,
-                                       rt::SchedulerKind::kGlobalQueue};
 
 struct SpatialProblem {
   geo::LocationSet locs;
@@ -536,7 +533,7 @@ TEST(Server, ConcurrentDetectConfidenceRegionsShareRuntimeAndCache) {
   // Satellite of the serving story: host threads sharing one Runtime and
   // one FactorCache (the server's deployment shape for external callers)
   // serialise their engine epochs via Runtime::exclusive_epoch and must
-  // agree bitwise. Runs on both scheduler arms; TSan covers both in CI.
+  // agree bitwise. Runs at 1 and 2 workers; TSan covers it in CI.
   const SpatialProblem pb(5);
   const std::vector<double> mean(static_cast<std::size_t>(pb.n()), 0.0);
   core::CrdOptions opts;
@@ -551,8 +548,8 @@ TEST(Server, ConcurrentDetectConfidenceRegionsShareRuntimeAndCache) {
       {0.5, 0.05, core::CrdDirection::kAbove, {}},
   };
 
-  for (const rt::SchedulerKind arm : kArms) {
-    rt::Runtime rt(2, false, arm);
+  for (const int workers : {1, 2}) {
+    rt::Runtime rt(workers);
     engine::FactorCache cache(4);
     constexpr int kCallers = 4;
     std::vector<std::vector<core::CrdResult>> results(kCallers);
