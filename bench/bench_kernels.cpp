@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: dense BLAS-3, the
-// QMC tile kernel, tile compression and the scalar normal functions. These
-// are the quantities the distributed cost model is calibrated against.
+// QMC tile kernel, tile compression, the scalar normal functions and the
+// Matern covariance entry. These are the quantities the distributed cost
+// model is calibrated against.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/qmc_kernel.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
+#include "geo/wind.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
 #include "linalg/qr.hpp"
@@ -296,6 +300,63 @@ void BM_bessel_k(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_bessel_k);
+
+// Distances of one off-diagonal 400 x 400 tile of the wind TLR problem: the
+// 80 x 60 unit-square grid in descending mean-wind order (the excursion
+// ordering's shape), rows 400..799 against columns 0..399.
+std::vector<double> wind_tile_distances() {
+  const geo::LocationSet locs = geo::regular_grid(80, 60);
+  std::vector<i64> order(locs.size());
+  std::iota(order.begin(), order.end(), i64{0});
+  std::stable_sort(order.begin(), order.end(), [&](i64 a, i64 b) {
+    const geo::Point& pa = locs[static_cast<std::size_t>(a)];
+    const geo::Point& pb = locs[static_cast<std::size_t>(b)];
+    return geo::wind_mean_speed(pa.x, pa.y) > geo::wind_mean_speed(pb.x, pb.y);
+  });
+  std::vector<double> d;
+  d.reserve(400 * 400);
+  for (i64 j = 0; j < 400; ++j)
+    for (i64 i = 400; i < 800; ++i) {
+      const geo::Point& p = locs[static_cast<std::size_t>(order[i])];
+      const geo::Point& q = locs[static_cast<std::size_t>(order[j])];
+      d.push_back(std::hypot(p.x - q.x, p.y - q.y));
+    }
+  return d;
+}
+
+// The wind field's Matern entry (sigma2 1.2, range 0.08, nu 1.43391) over
+// that tile's distances; z_gt_2 is the share of entries with d / range > 2.
+void BM_matern(benchmark::State& state) {
+  const geo::WindOptions wind;
+  const stats::MaternKernel kernel(wind.gp_sigma2, wind.gp_range,
+                                   wind.gp_smoothness);
+  const std::vector<double> d = wind_tile_distances();
+  double acc = 0.0;
+  for (auto _ : state) {
+    for (const double x : d) acc += kernel(x);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.counters["entries/s"] = benchmark::Counter(
+      static_cast<double>(d.size()) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["z_gt_2"] = static_cast<double>(std::count_if(
+      d.begin(), d.end(), [&](double x) { return x / wind.gp_range > 2.0; })) /
+      static_cast<double>(d.size());
+}
+BENCHMARK(BM_matern)->Unit(benchmark::kMillisecond);
+
+// Kernel construction for a non-half-integer nu (the argument, in units of
+// 1e-5): the cost every likelihood evaluation of the Matern MLE pays once.
+void BM_matern_build(benchmark::State& state) {
+  const geo::WindOptions wind;
+  const double nu = 1e-5 * static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    const stats::MaternKernel kernel(wind.gp_sigma2, wind.gp_range, nu);
+    benchmark::DoNotOptimize(kernel.smoothness());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_matern_build)->Arg(143391)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

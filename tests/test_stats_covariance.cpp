@@ -2,15 +2,43 @@
 // monotonicity and the factory.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "common/contracts.hpp"
+#include "stats/bessel.hpp"
 #include "stats/covariance.hpp"
 
 namespace {
 
 using namespace parmvn::stats;
+
+// The exact path the Matern table replaces: sigma2 * 2^(1-nu)/Gamma(nu) *
+// z^nu * K_nu(z), clamped to sigma2 like the kernel.
+double exact_matern(double sigma2, double nu, double z) {
+  const double v = sigma2 * std::pow(2.0, 1.0 - nu) / std::tgamma(nu) *
+                   std::pow(z, nu) * bessel_k(nu, z);
+  return v < sigma2 ? v : sigma2;
+}
+
+// Endpoints of the table's sub-intervals, 2^e (1 + q/4), up to z = 705.
+std::vector<double> table_breakpoints() {
+  std::vector<double> out;
+  for (double left = MaternKernel::kTableMinZ; left < 705.0; left *= 2.0)
+    for (int q = 0; q < MaternKernel::kTableSubOctaves; ++q) {
+      const double z = left * (1.0 + q / double(MaternKernel::kTableSubOctaves));
+      if (z <= 705.0) out.push_back(z);
+    }
+  return out;
+}
+
+constexpr double kTableSmoothness[] = {0.05, 0.25, 0.7, 1.0,  1.43391,
+                                       2.0,  2.2,  3.7, 8.0, 10.0};
 
 TEST(Matern, HalfSmoothnessIsExponential) {
   const MaternKernel m(2.0, 0.1, 0.5);
@@ -58,6 +86,99 @@ TEST(Matern, NeverExceedsVariance) {
 TEST(Matern, LongDistanceUnderflowsToZero) {
   const MaternKernel k(1.0, 0.001, 1.2);
   EXPECT_EQ(k(10.0), 0.0);  // z = 10000 >> 705
+}
+
+TEST(Matern, TableAgreesWithBesselPath) {
+  // 1e5 log-uniform z over the table's range up to the underflow cut, plus
+  // every sub-interval endpoint and its two neighbouring doubles. With
+  // range 1 the distance is z itself.
+  std::vector<double> zs;
+  std::mt19937_64 gen(20240);
+  std::uniform_real_distribution<double> log_z(std::log(MaternKernel::kTableMinZ),
+                                               std::log(705.0));
+  for (int i = 0; i < 100000; ++i) zs.push_back(std::exp(log_z(gen)));
+  for (const double z : table_breakpoints()) {
+    zs.push_back(z);
+    zs.push_back(std::nextafter(z, 0.0));
+    zs.push_back(std::nextafter(z, 1e3));
+  }
+  for (const double nu : kTableSmoothness) {
+    const MaternKernel k(1.0, 1.0, nu);
+    double worst = 0.0;
+    double worst_z = 0.0;
+    for (const double z : zs) {
+      const double want = exact_matern(1.0, nu, z);
+      const double rel = std::fabs(k(z) - want) / want;
+      if (!(rel <= worst)) {
+        worst = rel;
+        worst_z = z;
+      }
+    }
+    EXPECT_LE(worst, 3e-14) << "nu=" << nu << " worst at z=" << worst_z;
+  }
+}
+
+TEST(Matern, TableNonIncreasingAndBoundedAcrossIntervals) {
+  // A d-grid of relative spacing 2^-20 across every boundary inside the
+  // table (range 0.1, so z = 10 d). A rise beyond 4 ulps is a table defect
+  // unless the exact path rises over the same step: for small nu it jumps
+  // by up to 4e-14 at z = 2, where bessel_k switches from Temme's series
+  // to CF2, and the table reproduces that jump.
+  constexpr double kTol = 4.0 * DBL_EPSILON;
+  const std::vector<double> breaks = table_breakpoints();
+  for (const double nu : kTableSmoothness) {
+    const MaternKernel k(1.0, 0.1, nu);
+    for (std::size_t b = 1; b < breaks.size(); ++b) {
+      double prev_d = 0.1 * breaks[b] * (1.0 - 33.0 * 0x1p-20);
+      double prev = k(prev_d);
+      for (int s = -32; s <= 32; ++s) {
+        const double d = 0.1 * breaks[b] * (1.0 + s * 0x1p-20);
+        const double v = k(d);
+        EXPECT_LE(v, 1.0) << "nu=" << nu << " d=" << d;
+        const bool exact_rises = exact_matern(1.0, nu, d / 0.1) >
+                                 exact_matern(1.0, nu, prev_d / 0.1) * (1.0 + kTol);
+        if (!exact_rises) {
+          EXPECT_LE(v, prev * (1.0 + kTol)) << "nu=" << nu << " d=" << d;
+        }
+        prev = v;
+        prev_d = d;
+      }
+    }
+  }
+}
+
+TEST(Matern, RejectsSmoothnessOutsideTableRangeAndNeverReturnsNan) {
+  // Beyond kMaxSmoothness the table misses its bound, and the exact path
+  // gives NaN: at nu = 50 for z <= 1e-6, at nu = 120 for z <= 0.1 and at
+  // every z from nu = 171 on, where Gamma(nu) overflows.
+  for (const double nu : {MaternKernel::kMaxSmoothness * 1.01, 50.0, 120.0,
+                          171.0, 500.0, MaternKernel::kMinSmoothness * 0.99,
+                          0.0, -0.5, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    try {
+      (void)MaternKernel(1.0, 0.1, nu);
+      ADD_FAILURE() << "accepted nu=" << nu;
+    } catch (const parmvn::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("nu = "), std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)MaternKernel(1.0, 0.1, 50.0);
+  } catch (const parmvn::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nu = 50"), std::string::npos)
+        << e.what();
+  }
+  // At the range ends, distances from the subnormal 1e-310 on give a finite
+  // value in [0, sigma2]; there K_nu overflows while z^nu underflows.
+  for (const double nu : {MaternKernel::kMinSmoothness, 10.0,
+                          MaternKernel::kMaxSmoothness}) {
+    const MaternKernel k(2.0, 1.0, nu);
+    for (double d = 1e-310; d < 1e4; d *= 7.0) {
+      const double v = k(d);
+      EXPECT_TRUE(v >= 0.0 && v <= 2.0) << "nu=" << nu << " d=" << d << " C=" << v;
+    }
+  }
 }
 
 class KernelMonotone : public ::testing::TestWithParam<const char*> {};
