@@ -7,17 +7,18 @@
 // ~n^3 for the factorization plus ~n^2*N for the sweep.
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "common/timer.hpp"
-#include "core/pmvn.hpp"
+#include "engine/cholesky_factor.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tiled_potrf.hpp"
 #include "tlr/tlr_potrf.hpp"
 
 namespace {
@@ -30,31 +31,40 @@ struct Timing {
   [[nodiscard]] double total() const { return factor_s + sweep_s; }
 };
 
+// Wall time of one query's sweep against `factor`.
+double sweep_seconds(rt::Runtime& rt, engine::CholeskyFactor factor,
+                     std::span<const double> a, std::span<const double> b,
+                     const engine::EngineOptions& opts) {
+  const engine::PmvnEngine eng(
+      rt, std::make_shared<const engine::CholeskyFactor>(std::move(factor)),
+      opts);
+  return eng.evaluate_one({a, b}).seconds;
+}
+
 Timing run_dense(rt::Runtime& rt, const la::MatrixGenerator& gen, i64 tile,
                  std::span<const double> a, std::span<const double> b,
-                 const core::PmvnOptions& opts) {
+                 const engine::EngineOptions& opts) {
   Timing t;
-  WallTimer factor;
-  tile::TileMatrix l(rt, gen.rows(), gen.cols(), tile,
-                     tile::Layout::kLowerSymmetric);
-  l.generate_async(rt, gen);
-  rt.wait_all();
-  tile::potrf_tiled(rt, l);
-  t.factor_s = factor.seconds();
-  t.sweep_s = core::pmvn_dense(rt, l, a, b, opts).seconds;
+  engine::CholeskyFactor l = engine::CholeskyFactor::factor(
+      rt, gen, {engine::FactorKind::kDense, tile});
+  t.factor_s = l.factor_seconds();
+  t.sweep_s = sweep_seconds(rt, std::move(l), a, b, opts);
   return t;
 }
 
+// ACA-compressed TLR, which no FactorSpec describes: factored here and
+// borrowed by the engine.
 Timing run_tlr(rt::Runtime& rt, const la::MatrixGenerator& gen, i64 tile,
                std::span<const double> a, std::span<const double> b,
-               const core::PmvnOptions& opts) {
+               const engine::EngineOptions& opts) {
   Timing t;
   WallTimer factor;
   tlr::TlrMatrix l = tlr::TlrMatrix::compress(
       rt, gen, tile, 1e-3, -1, tlr::CompressionMethod::kAca);
   tlr::potrf_tlr(rt, l);
   t.factor_s = factor.seconds();
-  t.sweep_s = core::pmvn_tlr(rt, l, a, b, opts).seconds;
+  t.sweep_s =
+      sweep_seconds(rt, engine::CholeskyFactor::borrow_tlr(l), a, b, opts);
   return t;
 }
 
@@ -103,7 +113,7 @@ int main(int argc, char** argv) {
     rt::Runtime rt(args.threads > 0 ? static_cast<int>(args.threads)
                                     : default_num_threads());
     for (const i64 qmc : qmc_sizes) {
-      core::PmvnOptions opts;
+      engine::EngineOptions opts;
       opts.samples_per_shift = qmc / 10 > 0 ? qmc / 10 : 1;
       opts.shifts = 10;
       opts.sampler = stats::SamplerKind::kPseudoMC;  // as in Algorithm 2

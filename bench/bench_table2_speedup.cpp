@@ -12,12 +12,12 @@
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "common/timer.hpp"
-#include "core/pmvn.hpp"
+#include "engine/cholesky_factor.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tiled_potrf.hpp"
 #include "tlr/tlr_potrf.hpp"
 
 int main(int argc, char** argv) {
@@ -52,29 +52,33 @@ int main(int argc, char** argv) {
 
   // Factor once per format; sweep per QMC size (matches the paper's "one
   // MVN integration" but avoids refactoring identical matrices).
-  WallTimer dense_factor_timer;
-  tile::TileMatrix ld(rt, n, n, dense_tile, tile::Layout::kLowerSymmetric);
-  ld.generate_async(rt, gen);
-  rt.wait_all();
-  tile::potrf_tiled(rt, ld);
-  const double dense_factor_s = dense_factor_timer.seconds();
+  auto ld = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor(rt, gen,
+                                     {engine::FactorKind::kDense, dense_tile}));
+  const double dense_factor_s = ld->factor_seconds();
 
+  // ACA-compressed TLR, which no FactorSpec describes: factored here and
+  // borrowed by the engine.
   WallTimer tlr_factor_timer;
   tlr::TlrMatrix lt = tlr::TlrMatrix::compress(rt, gen, tlr_tile, 1e-3, -1,
                                                tlr::CompressionMethod::kAca);
   tlr::potrf_tlr(rt, lt);
   const double tlr_factor_s = tlr_factor_timer.seconds();
+  auto lt_factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::borrow_tlr(lt));
 
   std::printf("n=%lld dense_factor=%.3fs tlr_factor=%.3fs\n",
               static_cast<long long>(n), dense_factor_s, tlr_factor_s);
   std::printf("qmc,dense_total_s,tlr_total_s,speedup\n");
   for (const i64 qmc : qmc_sizes) {
-    core::PmvnOptions opts;
+    engine::EngineOptions opts;
     opts.samples_per_shift = qmc / 10 > 0 ? qmc / 10 : 1;
     opts.shifts = 10;
     opts.sampler = stats::SamplerKind::kPseudoMC;
-    const double ds = core::pmvn_dense(rt, ld, a, b, opts).seconds;
-    const double ts = core::pmvn_tlr(rt, lt, a, b, opts).seconds;
+    const double ds =
+        engine::PmvnEngine(rt, ld, opts).evaluate_one({a, b}).seconds;
+    const double ts =
+        engine::PmvnEngine(rt, lt_factor, opts).evaluate_one({a, b}).seconds;
     const double dense_total = dense_factor_s + ds;
     const double tlr_total = tlr_factor_s + ts;
     std::printf("%lld,%.3f,%.3f,%.2fx\n", static_cast<long long>(qmc),

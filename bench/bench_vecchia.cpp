@@ -23,17 +23,13 @@
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
-#include "common/timer.hpp"
 #include "core/excursion.hpp"
-#include "core/pmvn.hpp"
+#include "engine/cholesky_factor.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tile_matrix.hpp"
-#include "tile/tiled_potrf.hpp"
-#include "tlr/tlr_potrf.hpp"
-#include "vecchia/vecchia_factor.hpp"
 
 namespace {
 
@@ -52,23 +48,26 @@ struct Row {
   double sweep_s = 0.0;
 };
 
-std::vector<double> grid_xy(const geo::LocationSet& locs) {
-  std::vector<double> xy;
-  xy.reserve(2 * locs.size());
-  for (const geo::Point& p : locs) {
-    xy.push_back(p.x);
-    xy.push_back(p.y);
-  }
-  return xy;
-}
-
-core::PmvnOptions sweep_opts() {
-  core::PmvnOptions o;
+engine::EngineOptions sweep_opts() {
+  engine::EngineOptions o;
   o.samples_per_shift = 500;
   o.shifts = 10;
   o.sampler = stats::SamplerKind::kRichtmyer;
-  o.seed = 20240517;
   return o;
+}
+
+// Factor `gen` as `spec`, then one fixed-seed query: the row's probability,
+// error bar, build and sweep time.
+Row factor_and_sweep(rt::Runtime& rt, const la::MatrixGenerator& gen,
+                     const engine::FactorSpec& spec, const char* arm,
+                     i64 param, std::span<const double> a,
+                     std::span<const double> b) {
+  auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor(rt, gen, spec));
+  const engine::QueryResult r =
+      engine::PmvnEngine(rt, factor, sweep_opts()).evaluate_one({a, b, 20240517});
+  return {gen.rows(), arm,       param, r.prob, r.error3sigma, /*abs_err=*/0.0,
+          factor->factor_seconds(), r.seconds};
 }
 
 }  // namespace
@@ -97,42 +96,27 @@ int main(int argc, char** argv) {
     // sampling noise.
     auto kernel = std::make_shared<stats::ExponentialKernel>(1.0, 0.4);
     const geo::KernelCovGenerator gen(locs, kernel, 1e-6);
-    const std::vector<double> xy = grid_xy(locs);
     const i64 n = gen.rows();
     const std::vector<double> a(static_cast<std::size_t>(n), -2.0);
     const std::vector<double> b(static_cast<std::size_t>(n), kInf);
-    const core::PmvnOptions opts = sweep_opts();
 
-    WallTimer td;
-    tile::TileMatrix ld(rt, n, n, 256, tile::Layout::kLowerSymmetric);
-    ld.generate_async(rt, gen);
-    rt.wait_all();
-    tile::potrf_tiled(rt, ld);
-    const double dense_build = td.seconds();
-    const core::PmvnResult rd = core::pmvn_dense(rt, ld, a, b, opts);
-    rows.push_back({n, "dense", 256, rd.prob, rd.error3sigma, 0.0, dense_build,
-                    rd.seconds});
+    const Row rd = factor_and_sweep(rt, gen, {engine::FactorKind::kDense, 256},
+                                    "dense", 256, a, b);
+    rows.push_back(rd);
 
     // The smooth long-range correlation is severely ill-conditioned, so the
     // TLR tolerance must sit well below the smallest eigenvalues it needs
     // to preserve — 1e-3 (the paper's sweep value for short ranges) factors
     // to a visibly wrong probability here.
-    WallTimer tt;
-    tlr::TlrMatrix lt = tlr::TlrMatrix::compress(rt, gen, 256, 1e-7, -1);
-    tlr::potrf_tlr(rt, lt);
-    const double tlr_build = tt.seconds();
-    const core::PmvnResult rtl = core::pmvn_tlr(rt, lt, a, b, opts);
-    rows.push_back({n, "tlr", 256, rtl.prob, rtl.error3sigma,
-                    std::abs(rtl.prob - rd.prob), tlr_build, rtl.seconds});
+    rows.push_back(factor_and_sweep(
+        rt, gen, {engine::FactorKind::kTlr, 256, 1e-7, -1}, "tlr", 256, a, b));
 
-    for (const i64 m : {15, 30, 60}) {
-      const vecchia::VecchiaFactor f =
-          vecchia::VecchiaFactor::build(rt, gen, xy, 256, m);
-      const core::PmvnResult rv = core::pmvn_vecchia(rt, f, a, b, opts);
-      rows.push_back({n, "vecchia", m, rv.prob, rv.error3sigma,
-                      std::abs(rv.prob - rd.prob), f.build_seconds(),
-                      rv.seconds});
-    }
+    for (const i64 m : {15, 30, 60})
+      rows.push_back(factor_and_sweep(
+          rt, gen, {engine::FactorKind::kVecchia, 256, 0.0, -1, m}, "vecchia",
+          m, a, b));
+    for (Row& r : rows)
+      if (r.n == n) r.abs_err = std::abs(r.prob - rd.prob);
     if (!json) {
       for (const Row& r : rows)
         if (r.n == n)
@@ -166,7 +150,7 @@ int main(int argc, char** argv) {
   copts.pmvn.samples_per_shift = 100;
   copts.pmvn.shifts = 4;
   copts.pmvn.sampler = stats::SamplerKind::kRichtmyer;
-  copts.pmvn.seed = 20240517;
+  copts.seed = 20240517;
 
   struct CrdRun {
     int workers;

@@ -11,16 +11,16 @@
 // Build & run:  ./build/examples/quickstart [n]
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/mvn_mc.hpp"
-#include "core/pmvn.hpp"
 #include "core/sov.hpp"
+#include "engine/cholesky_factor.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "linalg/potrf.hpp"
 #include "runtime/runtime.hpp"
-#include "tile/tile_matrix.hpp"
-#include "tile/tiled_potrf.hpp"
 
 int main(int argc, char** argv) {
   using namespace parmvn;
@@ -46,17 +46,19 @@ int main(int argc, char** argv) {
   std::printf("sequential SOV : %.6e  (3-sigma %.1e, rel err %+.2e)\n",
               seq.prob, seq.error3sigma, seq.prob / truth - 1.0);
 
-  // 2) Parallel tile PMVN (Algorithm 2): tiled Cholesky + QMC sweep as a
-  //    task graph.
+  // 2) Parallel tile PMVN (Algorithm 2): factor once (tiled Cholesky as a
+  //    task graph), then evaluate limit sets against the factor (the QMC
+  //    sweep as a task graph).
   rt::Runtime rt;  // default_num_threads() workers
-  tile::TileMatrix l(rt, n, n, 64, tile::Layout::kLowerSymmetric);
-  l.from_dense(sigma.view());
-  tile::potrf_tiled(rt, l);
-  core::PmvnOptions pm;
+  auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor(rt, la::DenseGenerator(sigma),
+                                     {engine::FactorKind::kDense, 64}));
+  engine::EngineOptions pm;
   pm.samples_per_shift = 2000;
   pm.shifts = 10;
   pm.sampler = stats::SamplerKind::kRichtmyer;
-  const core::PmvnResult par = core::pmvn_dense(rt, l, a, b, pm);
+  const engine::PmvnEngine eng(rt, factor, pm);
+  const engine::QueryResult par = eng.evaluate_one({a, b, /*seed=*/42});
   std::printf("parallel PMVN  : %.6e  (3-sigma %.1e, rel err %+.2e, %.3f s)\n",
               par.prob, par.error3sigma, par.prob / truth - 1.0, par.seconds);
 

@@ -19,23 +19,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 engine::FactorSpec factor_spec(const CrdOptions& opts) {
-  engine::FactorSpec spec;
-  switch (opts.mode) {
-    case CrdMode::kDense:
-      spec.kind = engine::FactorKind::kDense;
-      break;
-    case CrdMode::kTlr:
-      spec.kind = engine::FactorKind::kTlr;
-      break;
-    case CrdMode::kVecchia:
-      spec.kind = engine::FactorKind::kVecchia;
-      break;
-  }
-  spec.tile = opts.tile;
-  spec.tlr_tol = opts.tlr_tol;
-  spec.tlr_max_rank = opts.tlr_max_rank;
-  spec.vecchia_m = opts.vecchia_m;
-  return spec;
+  return {opts.mode, opts.tile, opts.tlr_tol, opts.tlr_max_rank,
+          opts.vecchia_m};
 }
 
 // A query normalised into E+ space: kBelow becomes kAbove of the reflected
@@ -126,15 +111,14 @@ CrdResult naive_per_prefix(rt::Runtime& rt, const la::MatrixGenerator& cov,
                            std::span<const double> mean,
                            const CrdOptions& opts) {
   const i64 n = cov.rows();
-  CrdQuery query{opts.threshold, opts.alpha, opts.direction,
-                 opts.pmvn.seed};
-  PreparedQuery pq = prepare_query(sd, mean, query, opts.pmvn.seed);
+  const CrdQuery query{opts.threshold, opts.alpha, opts.direction, opts.seed};
+  PreparedQuery pq = prepare_query(sd, mean, query, opts.seed);
 
   const engine::FactorSpec spec{engine::FactorKind::kDense, opts.tile, 0.0,
                                 -1};
   auto factor = std::make_shared<const engine::CholeskyFactor>(
       engine::CholeskyFactor::factor_ordered(rt, cov, pq.order, spec, sd));
-  const engine::PmvnEngine eng(rt, factor, engine_options(opts.pmvn));
+  const engine::PmvnEngine eng(rt, factor, opts.pmvn);
 
   const WallTimer sweep_timer;
   std::vector<double> prefix_prob(static_cast<std::size_t>(n));
@@ -178,13 +162,14 @@ CrdResult detect_confidence_region(rt::Runtime& rt,
   PARMVN_EXPECTS(cov.cols() == n);
   PARMVN_EXPECTS(static_cast<i64>(mean.size()) == n);
   PARMVN_EXPECTS(opts.alpha > 0.0 && opts.alpha < 1.0);
+  opts.pmvn.validate();  // before the O(n^3) factor, not after it
 
   if (opts.strategy == CrdStrategy::kNaivePerPrefix) {
     const std::vector<double> sd = engine::standard_deviations(cov);
     return naive_per_prefix(rt, cov, sd, mean, opts);
   }
   const CrdQuery query{opts.threshold, opts.alpha, opts.direction,
-                       opts.pmvn.seed};
+                       opts.seed};
   std::vector<CrdResult> results =
       detect_confidence_regions(rt, cov, mean, opts, {&query, 1});
   // The batch API isolates failures per group; the single-query entry point
@@ -201,6 +186,7 @@ std::vector<CrdResult> detect_confidence_regions(
   PARMVN_EXPECTS(cov.cols() == n);
   PARMVN_EXPECTS(static_cast<i64>(mean.size()) == n);
   PARMVN_EXPECTS(opts.strategy == CrdStrategy::kSweep);
+  opts.pmvn.validate();  // before any factor is built or cached
   if (queries.empty()) return {};
 
   const std::vector<double> sd = engine::standard_deviations(cov);
@@ -208,7 +194,7 @@ std::vector<CrdResult> detect_confidence_regions(
   std::vector<PreparedQuery> prepared;
   prepared.reserve(queries.size());
   for (const CrdQuery& q : queries)
-    prepared.push_back(prepare_query(sd, mean, q, opts.pmvn.seed));
+    prepared.push_back(prepare_query(sd, mean, q, opts.seed));
 
   // Group queries by marginal ordering: one factor (and one fused batched
   // sweep) per distinct permutation. With a constant-variance field the
@@ -261,7 +247,7 @@ std::vector<CrdResult> detect_confidence_regions(
     // Deduplicate identical integrals within the group: queries differing
     // only in alpha share (a_ord, seed) and therefore the exact same prefix
     // sweep — an alpha-level sweep costs one integration, not k.
-    const engine::PmvnEngine eng(rt, factor, engine_options(opts.pmvn));
+    const engine::PmvnEngine eng(rt, factor, opts.pmvn);
     std::vector<engine::LimitSet> limits;
     std::vector<std::size_t> slot_of_member(members.size());
     // Decision threshold for adaptive early stop: the region test compares

@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/pmvn.hpp"
 #include "engine/factor_cache.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "linalg/generator.hpp"
 
@@ -45,7 +45,7 @@ namespace parmvn::core {
 /// or TLR Cholesky (O(n m^3) build, O(n m) memory) and computes the
 /// *Vecchia estimand* — the confidence function of the Vecchia-approximate
 /// density — which agrees with the other arms statistically, not bitwise.
-enum class CrdMode { kDense, kTlr, kVecchia };
+using CrdMode = engine::FactorKind;
 enum class CrdStrategy { kSweep, kNaivePerPrefix };
 
 /// Excursion direction: E+ = {X > u} (the paper's case) or E- = {X < u}
@@ -63,11 +63,12 @@ struct CrdOptions {
   i64 tlr_max_rank = -1;
   i64 vecchia_m = 30;      // Vecchia conditioning-set size (kVecchia only)
   CrdStrategy strategy = CrdStrategy::kSweep;
-  PmvnOptions pmvn;
+  u64 seed = 42;  // sample-stream seed of a query that sets none
+  engine::EngineOptions pmvn;  // validated on entry, before any factoring
 };
 
 /// One query of a batched detection: threshold/level/direction against the
-/// shared mean field. An unset seed inherits CrdOptions::pmvn.seed.
+/// shared mean field. An unset seed inherits CrdOptions::seed.
 struct CrdQuery {
   double threshold = 0.0;
   double alpha = 0.05;
@@ -100,9 +101,9 @@ struct CrdResult {
                                     // shared-slot members report the same)
   int shifts_used = 0;              // shift blocks actually evaluated
   bool converged = false;           // adaptive stop criterion met
-  /// kEp when the tiered EP screen (PmvnOptions::tiered) decided this
+  /// kEp when the tiered EP screen (EngineOptions::tiered) decided this
   /// query's region without spending QMC samples on it; kDeadline when
-  /// PmvnOptions::deadline_ms expired mid-sweep (prefix_prob and the region
+  /// EngineOptions::deadline_ms expired mid-sweep (prefix_prob and the region
   /// are then computed from the partial estimate, converged == false).
   engine::EvalMethod method = engine::EvalMethod::kQmc;
   /// Per-query outcome of a batched detection. A failed ordering group

@@ -131,21 +131,9 @@ CholeskyFactor CholeskyFactor::factor_ordered(rt::Runtime& rt,
   return f;
 }
 
-CholeskyFactor CholeskyFactor::borrow_dense(const tile::TileMatrix& l) {
-  CholeskyFactor f;
-  f.backend_ = std::make_shared<const DenseBackend>(borrow(l));
-  return f;
-}
-
 CholeskyFactor CholeskyFactor::borrow_tlr(const tlr::TlrMatrix& l) {
   CholeskyFactor f;
   f.backend_ = std::make_shared<const TlrBackend>(borrow(l));
-  return f;
-}
-
-CholeskyFactor CholeskyFactor::borrow_vecchia(const vecchia::VecchiaFactor& l) {
-  CholeskyFactor f;
-  f.backend_ = std::make_shared<const vecchia::VecchiaBackend>(borrow(l));
   return f;
 }
 

@@ -98,12 +98,10 @@ class CholeskyFactor {
       rt::Runtime& rt, const la::MatrixGenerator& cov, std::vector<i64> order,
       const FactorSpec& spec, std::span<const double> sd = {});
 
-  /// Non-owning wrappers around an existing factored matrix (the caller
-  /// keeps it alive). Used by the single-query core::pmvn_* entry points.
-  [[nodiscard]] static CholeskyFactor borrow_dense(const tile::TileMatrix& l);
+  /// Non-owning wrapper around an already factored TLR matrix (the caller
+  /// keeps it alive), for factors no FactorSpec describes — e.g. one
+  /// compressed by ACA instead of RRQR.
   [[nodiscard]] static CholeskyFactor borrow_tlr(const tlr::TlrMatrix& l);
-  [[nodiscard]] static CholeskyFactor borrow_vecchia(
-      const vecchia::VecchiaFactor& l);
 
   [[nodiscard]] FactorKind kind() const noexcept { return backend_->kind(); }
   [[nodiscard]] i64 dim() const noexcept { return backend_->dim(); }

@@ -36,6 +36,22 @@ bool clears_decision(double mean, double err, double decision) {
   return mean - err > decision || mean + err < decision;
 }
 
+// The one limit check of the one evaluate path, run before the EP screens
+// and the sweep see a query: a NaN limit would otherwise be answered as a
+// silent prob 0 (every CDF difference treats it like an empty interval).
+void check_limits(std::span<const LimitSet> queries, i64 n) {
+  const auto has_nan = [](std::span<const double> v) {
+    return std::any_of(v.begin(), v.end(),
+                       [](double x) { return std::isnan(x); });
+  };
+  for (const LimitSet& q : queries) {
+    if (static_cast<i64>(q.a.size()) != n || static_cast<i64>(q.b.size()) != n)
+      throw Error("PmvnEngine: limit length differs from the factor dimension");
+    if (has_nan(q.a) || has_nan(q.b))
+      throw Error("PmvnEngine: NaN integration limit");
+  }
+}
+
 }  // namespace
 
 void EngineOptions::validate() const {
@@ -76,6 +92,7 @@ QueryResult PmvnEngine::evaluate_one(const LimitSet& query) const {
 
 std::vector<QueryResult> PmvnEngine::evaluate(
     std::span<const LimitSet> queries) const {
+  check_limits(queries, factor_->dim());
   // The whole evaluation (EP screens included — they share the factor's
   // SiteCache and precede the sweep's submit…wait_all rounds) runs as one
   // exclusive epoch, so host threads sharing `rt_` can evaluate
@@ -196,10 +213,6 @@ std::vector<QueryResult> PmvnEngine::evaluate_qmc(
   const i64 mt = f.row_tiles();
   const i64 nq = static_cast<i64>(queries.size());
   if (nq == 0) return {};
-  for (const LimitSet& q : queries) {
-    PARMVN_EXPECTS(static_cast<i64>(q.a.size()) == n);
-    PARMVN_EXPECTS(static_cast<i64>(q.b.size()) == n);
-  }
   const i64 sps = opts_.samples_per_shift;
   const i64 num_samples = opts_.total_samples();
 

@@ -73,6 +73,19 @@ struct EngineOptions {
   /// and the estimator pair-merges block means before combining.
   bool antithetic = false;
 
+  /// Wall-clock deadline for the whole evaluate() call in milliseconds
+  /// (0 = none). Checked on the host thread between shift-block rounds (and
+  /// between tiered EP screens): when it expires, every still-active query
+  /// retires immediately with its best-so-far block estimate,
+  /// converged == false and method == EvalMethod::kDeadline. Every query
+  /// always completes at least one shift block, so a deadline result is an
+  /// estimate, never empty. A deadline routes the fixed-budget sweep
+  /// through the same round loop the adaptive path uses; deadline stops are
+  /// time-dependent and therefore explicitly exempt from the bitwise
+  /// determinism contracts (see ROADMAP) — the default (0) keeps every
+  /// contracted path bitwise unchanged.
+  i64 deadline_ms = 0;
+
   /// Tiered evaluation: every query carrying a decision threshold is first
   /// screened by the deterministic EP estimator (src/ep/) on the host
   /// thread; a query whose threshold falls cleanly outside the EP band
@@ -87,19 +100,6 @@ struct EngineOptions {
   /// counts. Screens warm-start from the factor's site cache
   /// (CholeskyFactor::ep_cache()); an unconverged screen never retires
   /// anything.
-  /// Wall-clock deadline for the whole evaluate() call in milliseconds
-  /// (0 = none). Checked on the host thread between shift-block rounds (and
-  /// between tiered EP screens): when it expires, every still-active query
-  /// retires immediately with its best-so-far block estimate,
-  /// converged == false and method == EvalMethod::kDeadline. Every query
-  /// always completes at least one shift block, so a deadline result is an
-  /// estimate, never empty. A deadline routes the fixed-budget sweep
-  /// through the same round loop the adaptive path uses; deadline stops are
-  /// time-dependent and therefore explicitly exempt from the bitwise
-  /// determinism contracts (see ROADMAP) — the default (0) keeps every
-  /// contracted path bitwise unchanged.
-  i64 deadline_ms = 0;
-
   bool tiered = false;
   /// Conservative EP error band half-width (absolute probability). The
   /// default is calibrated against dense QMC on smooth GP fields
@@ -113,8 +113,9 @@ struct EngineOptions {
   /// Range-check every knob and throw a typed parmvn::Error naming the
   /// offending one (negative deadline_ms, negative ep_margin, zero
   /// samples, an odd antithetic shift count, …). PmvnEngine's constructor
-  /// and core::engine_options() both call this, so nonsense options fail
-  /// at construction instead of as undefined downstream behavior.
+  /// calls this, and the confidence-region detector calls it on entry, so
+  /// nonsense options fail before any work instead of as undefined
+  /// downstream behavior.
   void validate() const;
 };
 
@@ -161,7 +162,9 @@ class PmvnEngine {
              EngineOptions opts = {});
 
   /// Evaluate every query in one fused task graph. Results are positionally
-  /// matched to `queries`.
+  /// matched to `queries`. Every limit set is checked first: a length other
+  /// than dim() or a NaN limit throws parmvn::Error (±inf is legal). A box
+  /// with a_i > b_i is a legal empty event and evaluates to prob 0.
   [[nodiscard]] std::vector<QueryResult> evaluate(
       std::span<const LimitSet> queries) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -116,10 +117,14 @@ std::future<Response> Server::submit(Request req) {
     return fut;
   }
   const i64 n = field->spec.cov->rows();
+  const auto is_nan = [](double x) { return std::isnan(x); };
   if (static_cast<i64>(req.a.size()) != n ||
-      (!req.b.empty() && req.b.size() != req.a.size()) || req.deadline_ms < 0) {
+      (!req.b.empty() && req.b.size() != req.a.size()) || req.deadline_ms < 0 ||
+      std::any_of(req.a.begin(), req.a.end(), is_nan) ||
+      std::any_of(req.b.begin(), req.b.end(), is_nan)) {
     reject(Status::invalid_argument(
-               "serve: malformed request (limit lengths or deadline)"),
+               "serve: malformed request (limit lengths, NaN limit or "
+               "deadline)"),
            &ServerStats::rejected_invalid);
     return fut;
   }

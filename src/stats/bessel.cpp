@@ -1,6 +1,7 @@
 #include "stats/bessel.hpp"
 
 #include <cmath>
+#include <iterator>
 
 #include "common/contracts.hpp"
 
@@ -10,7 +11,19 @@ namespace {
 
 constexpr int kMaxIter = 20000;
 constexpr double kEps = 1e-16;
-constexpr double kEulerGamma = 0.5772156649015328606065120900824024;
+
+// Even Taylor coefficients c_2, c_4, ..., c_22 of 1/Gamma(z) = sum_k c_k z^k
+// (A&S 6.1.34, Wrench's values): 1/Gamma(1 -/+ mu) = sum_k c_k (-/+mu)^(k-1),
+// so gam1 below is -(c_2 + c_4 mu^2 + c_6 mu^4 + ...).
+constexpr double kRecipGammaEven[] = {
+    0.5772156649015328606,   -0.0420026350340952355, -0.0421977345555443367,
+    0.0072189432466630995,   -0.0002152416741149510, -0.0000201348547807882,
+    0.0000011330272319817,   0.0000000061160951045,  -0.0000000011812745705,
+    0.0000000000077822634,   0.0000000000005100370};
+
+// Below this |mu| gam1 comes from the series: the difference form cancels,
+// losing about eps/|mu| relative accuracy (ν near an integer).
+constexpr double kGam1SeriesMu = 0.1;
 
 // gam1 = [1/Gamma(1-mu) - 1/Gamma(1+mu)] / (2 mu)
 // gam2 = [1/Gamma(1-mu) + 1/Gamma(1+mu)] / 2
@@ -19,10 +32,14 @@ void temme_gammas(double mu, double& gam1, double& gam2, double& gampl,
                   double& gammi) {
   gampl = 1.0 / std::tgamma(1.0 + mu);
   gammi = 1.0 / std::tgamma(1.0 - mu);
-  if (std::fabs(mu) < 1e-8) {
-    // Limit mu -> 0 of (gammi - gampl)/(2 mu): d/dmu[1/Gamma(1-mu)] = -psi(1)
-    // and d/dmu[1/Gamma(1+mu)] = +psi(1) at mu=0, psi(1) = -EulerGamma.
-    gam1 = -kEulerGamma;
+  if (std::fabs(mu) < kGam1SeriesMu) {
+    // Horner in mu^2 from the smallest term; at mu = 0 this is exactly
+    // -c_2 = -EulerGamma, the limit of the difference quotient.
+    const double mu2 = mu * mu;
+    double s = 0.0;
+    for (int k = static_cast<int>(std::size(kRecipGammaEven)) - 1; k >= 0; --k)
+      s = s * mu2 + kRecipGammaEven[k];
+    gam1 = -s;
   } else {
     gam1 = (gammi - gampl) / (2.0 * mu);
   }
@@ -35,7 +52,9 @@ void bessel_k_small(double mu, double x, double& kmu, double& kmu1) {
   const double pimu = M_PI * mu;
   const double fact =
       (std::fabs(pimu) < kEps) ? 1.0 : pimu / std::sin(pimu);
-  double d = -std::log(x2);
+  // x = denorm_min halves to 0; log(2/x) = ln 2 - log x stays finite there
+  // (every other x keeps the historical -log(x/2) bit for bit).
+  double d = x2 > 0.0 ? -std::log(x2) : M_LN2 - std::log(x);
   double e = mu * d;
   const double fact2 = (std::fabs(e) < kEps) ? 1.0 : std::sinh(e) / e;
   double gam1, gam2, gampl, gammi;

@@ -27,7 +27,6 @@
 #include "common/contracts.hpp"
 #include "core/excursion.hpp"
 #include "core/mvt.hpp"
-#include "core/pmvn.hpp"
 #include "core/sov.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
@@ -217,7 +216,7 @@ TEST(Adaptive, DecisionStopNeverFlipsRegionSide) {
   opts.pmvn.samples_per_shift = 200;
   opts.pmvn.shifts = 8;
   opts.pmvn.sampler = stats::SamplerKind::kRichtmyer;
-  opts.pmvn.seed = 20240517;
+  opts.seed = 20240517;
 
   const std::vector<core::CrdQuery> queries = {
       {0.6, 0.1, core::CrdDirection::kAbove, {}},

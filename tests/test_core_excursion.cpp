@@ -106,7 +106,7 @@ TEST(Crd, RegionShrinksWithConfidence) {
   for (double alpha : {0.5, 0.2, 0.05, 0.01}) {
     CrdOptions opts = base_opts();
     opts.alpha = alpha;
-    opts.pmvn.seed = 77;  // same chains across alpha values
+    opts.seed = 77;  // same chains across alpha values
     const CrdResult r =
         core::detect_confidence_region(rt, *f.cov, f.mean, opts);
     EXPECT_LE(r.region_size, prev_size) << "alpha=" << alpha;
@@ -229,7 +229,7 @@ TEST(Crd, BatchedQueriesMatchSingleCallsBitwise) {
     single.threshold = queries[qi].threshold;
     single.alpha = queries[qi].alpha;
     single.direction = queries[qi].direction;
-    if (queries[qi].seed) single.pmvn.seed = *queries[qi].seed;
+    if (queries[qi].seed) single.seed = *queries[qi].seed;
     const CrdResult alone =
         core::detect_confidence_region(rt, *f.cov, f.mean, single);
     EXPECT_EQ(batched[qi].order, alone.order) << qi;
@@ -256,6 +256,29 @@ TEST(Crd, BatchedQueriesMatchSingleCallsBitwise) {
                      batched[qi].prefix_prob.back())
         << qi;
   }
+}
+
+TEST(Crd, BadEngineOptionsFailBeforeAnyFactor) {
+  // Nonsense engine options are rejected on entry, before the O(n^3)
+  // factor is built (or inserted into the caller's cache), on every entry
+  // point and strategy.
+  const TestField f = make_field(6, 6, 0.2, 0);
+  rt::Runtime rt(2);
+  CrdOptions opts = base_opts();
+  opts.pmvn.deadline_ms = -1;
+  engine::FactorCache cache(2);
+  const std::vector<core::CrdQuery> queries = {
+      {1.0, 0.1, core::CrdDirection::kAbove, std::nullopt}};
+  EXPECT_THROW((void)core::detect_confidence_regions(rt, *f.cov, f.mean, opts,
+                                                     queries, &cache),
+               Error);
+  EXPECT_EQ(cache.stats().misses, 0);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_THROW((void)core::detect_confidence_region(rt, *f.cov, f.mean, opts),
+               Error);
+  opts.strategy = CrdStrategy::kNaivePerPrefix;
+  EXPECT_THROW((void)core::detect_confidence_region(rt, *f.cov, f.mean, opts),
+               Error);
 }
 
 TEST(RegionSizeAtLevel, HandlesEnvelopeAndEdges) {

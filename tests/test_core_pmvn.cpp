@@ -1,4 +1,5 @@
-// Tests for the parallel tile PMVN (Algorithm 2): equivalence with the
+// Tests for the parallel tile PMVN (Algorithm 2) through its one evaluate
+// path, engine::PmvnEngine over a CholeskyFactor: equivalence with the
 // sequential SOV oracle, dense/TLR agreement, determinism across thread
 // counts and tile sizes, prefix-sweep semantics, and closed forms in
 // moderate dimension.
@@ -8,22 +9,22 @@
 #include <limits>
 #include <memory>
 
-#include "core/pmvn.hpp"
 #include "core/sov.hpp"
+#include "engine/cholesky_factor.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
 #include "stats/covariance.hpp"
 #include "stats/normal.hpp"
-#include "tile/tiled_potrf.hpp"
-#include "tlr/tlr_potrf.hpp"
 
 namespace {
 
 using namespace parmvn;
-using core::PmvnOptions;
-using core::PmvnResult;
+using engine::EngineOptions;
+using engine::FactorKind;
+using engine::QueryResult;
 using la::Matrix;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -35,13 +36,21 @@ Matrix equicorrelated(i64 n, double rho) {
   return s;
 }
 
-// Tiled factor from a dense SPD matrix.
-tile::TileMatrix tiled_chol(rt::Runtime& rt, const Matrix& sigma, i64 nb) {
-  tile::TileMatrix l(rt, sigma.rows(), sigma.cols(), nb,
-                     tile::Layout::kLowerSymmetric);
-  l.from_dense(sigma.view());
-  tile::potrf_tiled(rt, l);
-  return l;
+// Engine over the factor of `gen` built with `spec`.
+engine::PmvnEngine make_engine(rt::Runtime& rt, const la::MatrixGenerator& gen,
+                               const engine::FactorSpec& spec,
+                               const EngineOptions& opts = {}) {
+  return {rt,
+          std::make_shared<const engine::CholeskyFactor>(
+              engine::CholeskyFactor::factor(rt, gen, spec)),
+          opts};
+}
+
+// Engine over the dense tiled Cholesky factor of `sigma`.
+engine::PmvnEngine dense_engine(rt::Runtime& rt, const Matrix& sigma, i64 nb,
+                                const EngineOptions& opts = {}) {
+  return make_engine(rt, la::DenseGenerator(sigma), {FactorKind::kDense, nb},
+                     opts);
 }
 
 TEST(PmvnDense, MatchesSequentialOracleExactly) {
@@ -64,13 +73,12 @@ TEST(PmvnDense, MatchesSequentialOracleExactly) {
       core::mvn_probability_chol(l_dense.view(), a, b, seq);
 
   rt::Runtime rt(4);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 500;
   opts.shifts = 8;
   opts.sampler = stats::SamplerKind::kRichtmyer;
-  opts.seed = 11;
-  const PmvnResult got = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult got =
+      dense_engine(rt, sigma, 16, opts).evaluate_one({a, b, 11});
 
   EXPECT_NEAR(got.prob / expect.prob, 1.0, 1e-8);
   EXPECT_NEAR(got.error3sigma, expect.error3sigma,
@@ -82,15 +90,14 @@ TEST(PmvnDense, DeterministicAcrossThreadCounts) {
   Matrix sigma = equicorrelated(n, 0.3);
   std::vector<double> a(static_cast<std::size_t>(n), -1.0);
   std::vector<double> b(static_cast<std::size_t>(n), 0.8);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 250;
   opts.shifts = 4;
 
   double reference = 0.0;
   for (int threads : {0, 1, 2, 8}) {
     rt::Runtime rt(threads);
-    const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-    const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const QueryResult r = dense_engine(rt, sigma, 16, opts).evaluate_one({a, b});
     if (threads == 0) {
       reference = r.prob;
     } else {
@@ -106,14 +113,13 @@ TEST(PmvnDense, TileSizeOnlyPerturbsRounding) {
   Matrix sigma = equicorrelated(n, 0.5);
   std::vector<double> a(static_cast<std::size_t>(n), 0.0);
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 400;
   opts.shifts = 5;
   double first = -1.0;
   for (i64 nb : {8, 24, 36, 72}) {
     rt::Runtime rt(4);
-    const tile::TileMatrix l = tiled_chol(rt, sigma, nb);
-    const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+    const QueryResult r = dense_engine(rt, sigma, nb, opts).evaluate_one({a, b});
     if (first < 0) {
       first = r.prob;
     } else {
@@ -129,12 +135,11 @@ TEST(PmvnDense, ExchangeableHalfCorrelationOrthantHighDim) {
   std::vector<double> a(static_cast<std::size_t>(n), 0.0);
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
   rt::Runtime rt(4);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 32);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 2500;
   opts.shifts = 20;
   opts.sampler = stats::SamplerKind::kRichtmyer;
-  const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+  const QueryResult r = dense_engine(rt, sigma, 32, opts).evaluate_one({a, b});
   const double expect = 1.0 / 65.0;
   EXPECT_NEAR(r.prob / expect, 1.0, 0.05);
   EXPECT_LT(std::fabs(r.prob - expect), 3.0 * r.error3sigma + 0.002 * expect);
@@ -152,8 +157,7 @@ TEST(PmvnDense, IndependenceProductExact) {
     expect *= stats::norm_cdf_diff(-0.8, 1.2);
   }
   rt::Runtime rt(2);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 16);
-  const PmvnResult r = core::pmvn_dense(rt, l, a, b, {});
+  const QueryResult r = dense_engine(rt, sigma, 16).evaluate_one({a, b});
   EXPECT_NEAR(r.prob / expect, 1.0, 1e-10)
       << "independent case is exact for every sample";
 }
@@ -164,12 +168,11 @@ TEST(PmvnDense, PrefixSweepMatchesFullProbabilities) {
   std::vector<double> a(static_cast<std::size_t>(n), -0.3);
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
   rt::Runtime rt(4);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 12);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 300;
   opts.shifts = 4;
-  opts.prefix = true;
-  const PmvnResult r = core::pmvn_dense(rt, l, a, b, opts);
+  const engine::PmvnEngine eng = dense_engine(rt, sigma, 12, opts);
+  const QueryResult r = eng.evaluate_one({a, b, 42, /*prefix=*/true});
   ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), n);
   // Monotone non-increasing; last equals the total probability.
   for (std::size_t i = 1; i < r.prefix_prob.size(); ++i)
@@ -183,9 +186,7 @@ TEST(PmvnDense, PrefixSweepMatchesFullProbabilities) {
   for (i64 k : {i64{9}, i64{23}}) {
     std::vector<double> a_partial(static_cast<std::size_t>(n), -kInf);
     for (i64 i = 0; i < k; ++i) a_partial[static_cast<std::size_t>(i)] = -0.3;
-    PmvnOptions full = opts;
-    full.prefix = false;
-    const PmvnResult sub = core::pmvn_dense(rt, l, a_partial, b, full);
+    const QueryResult sub = eng.evaluate_one({a_partial, b});
     EXPECT_NEAR(sub.prob, r.prefix_prob[static_cast<std::size_t>(k - 1)], 1e-12)
         << "k=" << k;
   }
@@ -198,14 +199,14 @@ TEST(PmvnDense, SmallPanelBytesStillExact) {
   std::vector<double> a(static_cast<std::size_t>(n), -0.5);
   std::vector<double> b(static_cast<std::size_t>(n), 2.0);
   rt::Runtime rt(2);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 10);
-  PmvnOptions big;
+  EngineOptions big;
   big.samples_per_shift = 200;
   big.shifts = 5;
-  PmvnOptions tiny = big;
+  EngineOptions tiny = big;
   tiny.panel_bytes = 1;  // floor: one tile-column per panel
-  const double p_big = core::pmvn_dense(rt, l, a, b, big).prob;
-  const double p_tiny = core::pmvn_dense(rt, l, a, b, tiny).prob;
+  const double p_big = dense_engine(rt, sigma, 10, big).evaluate_one({a, b}).prob;
+  const double p_tiny =
+      dense_engine(rt, sigma, 10, tiny).evaluate_one({a, b}).prob;
   EXPECT_DOUBLE_EQ(p_big, p_tiny);
 }
 
@@ -220,21 +221,18 @@ TEST(PmvnTlr, ConvergesToDenseAsToleranceTightens) {
   std::vector<double> b(static_cast<std::size_t>(n), kInf);
 
   rt::Runtime rt(4);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 400;
   opts.shifts = 5;
 
-  const Matrix sigma = geo::dense_from_generator(gen);
-  tile::TileMatrix ld(rt, n, n, 49, tile::Layout::kLowerSymmetric);
-  ld.from_dense(sigma.view());
-  tile::potrf_tiled(rt, ld);
-  const double p_dense = core::pmvn_dense(rt, ld, a, b, opts).prob;
+  const double p_dense =
+      make_engine(rt, gen, {FactorKind::kDense, 49}, opts).evaluate_one({a, b}).prob;
 
   double prev_gap = 1.0;
   for (double tol : {1e-2, 1e-4, 1e-8}) {
-    tlr::TlrMatrix lt = tlr::TlrMatrix::compress(rt, gen, 49, tol, -1);
-    tlr::potrf_tlr(rt, lt);
-    const double p_tlr = core::pmvn_tlr(rt, lt, a, b, opts).prob;
+    const double p_tlr = make_engine(rt, gen, {FactorKind::kTlr, 49, tol, -1}, opts)
+                             .evaluate_one({a, b})
+                             .prob;
     const double gap = std::fabs(p_tlr - p_dense) / p_dense;
     EXPECT_LE(gap, prev_gap * 1.5 + 1e-9) << "tol=" << tol;
     prev_gap = gap;
@@ -248,14 +246,12 @@ TEST(PmvnTlr, PrefixSweepWorksInTlrMode) {
   auto kernel = std::make_shared<stats::ExponentialKernel>(1.0, 0.2);
   const geo::KernelCovGenerator gen(locs, kernel, 1e-6);
   rt::Runtime rt(2);
-  tlr::TlrMatrix l = tlr::TlrMatrix::compress(rt, gen, 25, 1e-6, -1);
-  tlr::potrf_tlr(rt, l);
   std::vector<double> a(100, 0.0), b(100, kInf);
-  PmvnOptions opts;
+  EngineOptions opts;
   opts.samples_per_shift = 250;
   opts.shifts = 4;
-  opts.prefix = true;
-  const PmvnResult r = core::pmvn_tlr(rt, l, a, b, opts);
+  const QueryResult r = make_engine(rt, gen, {FactorKind::kTlr, 25, 1e-6, -1}, opts)
+                            .evaluate_one({a, b, 42, /*prefix=*/true});
   ASSERT_EQ(r.prefix_prob.size(), 100u);
   for (std::size_t i = 1; i < 100; ++i)
     EXPECT_LE(r.prefix_prob[i], r.prefix_prob[i - 1] + 1e-12);
@@ -265,16 +261,14 @@ TEST(PmvnTlr, PrefixSweepWorksInTlrMode) {
 TEST(Pmvn, RejectsShapeMismatch) {
   rt::Runtime rt(1);
   Matrix sigma = equicorrelated(8, 0.2);
-  const tile::TileMatrix l = tiled_chol(rt, sigma, 4);
   std::vector<double> short_a(4, 0.0), b(8, kInf);
-  EXPECT_THROW((void)core::pmvn_dense(rt, l, short_a, b, {}), Error);
+  EXPECT_THROW((void)dense_engine(rt, sigma, 4).evaluate_one({short_a, b}),
+               Error);
 }
 
-TEST(Pmvn, GeneralLayoutFactorRejected) {
+TEST(Pmvn, NonSquareMatrixRejected) {
   rt::Runtime rt(1);
-  tile::TileMatrix not_sym(rt, 8, 8, 4, tile::Layout::kGeneral);
-  std::vector<double> a(8, 0.0), b(8, 1.0);
-  EXPECT_THROW((void)core::pmvn_dense(rt, not_sym, a, b, {}), Error);
+  EXPECT_THROW((void)dense_engine(rt, Matrix(8, 6), 4), Error);
 }
 
 }  // namespace

@@ -25,25 +25,17 @@
 #include <numeric>
 #include <vector>
 
-#include "core/pmvn.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
-#include "linalg/matrix.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tile_matrix.hpp"
-#include "tile/tiled_potrf.hpp"
-#include "tlr/tlr_matrix.hpp"
-#include "tlr/tlr_potrf.hpp"
 
 namespace {
 
 using namespace parmvn;
-using core::PmvnOptions;
-using core::PmvnResult;
-using la::Matrix;
+using engine::EngineOptions;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kWorkerMatrix[] = {1, 2, 8};
@@ -62,39 +54,43 @@ struct Problem {
         b(static_cast<std::size_t>(side * side), kInf) {}
 };
 
-PmvnOptions fixed_seed_opts(stats::SamplerKind sampler) {
-  PmvnOptions opts;
+constexpr u64 kSeed = 20240517;
+
+EngineOptions fixed_seed_opts(stats::SamplerKind sampler) {
+  EngineOptions opts;
   opts.samples_per_shift = 200;
   opts.shifts = 4;
-  opts.seed = 20240517;
   opts.sampler = sampler;
   return opts;
 }
 
-double run_dense(int workers, const Problem& pb, const PmvnOptions& opts) {
+// Factor `spec` and one fixed-seed query on a fresh `workers` runtime.
+double run_pipeline(int workers, const Problem& pb,
+                    const engine::FactorSpec& spec, const EngineOptions& opts) {
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  const Matrix sigma = geo::dense_from_generator(gen);
   rt::Runtime rt(workers);
-  tile::TileMatrix l(rt, sigma.rows(), sigma.cols(), 25,
-                     tile::Layout::kLowerSymmetric);
-  l.from_dense(sigma.view());
-  tile::potrf_tiled(rt, l);
-  return core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob;
+  const engine::PmvnEngine eng(
+      rt,
+      std::make_shared<const engine::CholeskyFactor>(
+          engine::CholeskyFactor::factor(rt, gen, spec)),
+      opts);
+  return eng.evaluate_one({pb.a, pb.b, kSeed}).prob;
 }
 
-double run_tlr(int workers, const Problem& pb, const PmvnOptions& opts) {
-  const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  rt::Runtime rt(workers);
-  tlr::TlrMatrix l = tlr::TlrMatrix::compress(rt, gen, 25, 1e-7, -1);
-  tlr::potrf_tlr(rt, l);
-  return core::pmvn_tlr(rt, l, pb.a, pb.b, opts).prob;
+double run_dense(int workers, const Problem& pb, const EngineOptions& opts) {
+  return run_pipeline(workers, pb, {engine::FactorKind::kDense, 25}, opts);
+}
+
+double run_tlr(int workers, const Problem& pb, const EngineOptions& opts) {
+  return run_pipeline(workers, pb, {engine::FactorKind::kTlr, 25, 1e-7, -1},
+                      opts);
 }
 
 TEST(Determinism, DensePipelineBitwiseIdenticalAcrossWorkers) {
   const Problem pb(10);
   for (auto sampler :
        {stats::SamplerKind::kPseudoMC, stats::SamplerKind::kRichtmyer}) {
-    const PmvnOptions opts = fixed_seed_opts(sampler);
+    const EngineOptions opts = fixed_seed_opts(sampler);
     const double reference = run_dense(/*workers=*/0, pb, opts);
     for (int workers : kWorkerMatrix) {
       EXPECT_DOUBLE_EQ(run_dense(workers, pb, opts), reference)
@@ -106,7 +102,7 @@ TEST(Determinism, DensePipelineBitwiseIdenticalAcrossWorkers) {
 
 TEST(Determinism, TlrPipelineBitwiseIdenticalAcrossWorkers) {
   const Problem pb(10);
-  const PmvnOptions opts = fixed_seed_opts(stats::SamplerKind::kRichtmyer);
+  const EngineOptions opts = fixed_seed_opts(stats::SamplerKind::kRichtmyer);
   const double reference = run_tlr(/*workers=*/0, pb, opts);
   for (int workers : kWorkerMatrix) {
     EXPECT_DOUBLE_EQ(run_tlr(workers, pb, opts), reference)
@@ -255,17 +251,17 @@ TEST(Determinism, RepeatedRunsSameRuntimeAreIdentical) {
   // hidden state (RNG stream position, panel scratch) between calls.
   const Problem pb(8);
   const geo::KernelCovGenerator gen(pb.locs, pb.kernel, 1e-6);
-  const Matrix sigma = geo::dense_from_generator(gen);
   rt::Runtime rt(4);
-  tile::TileMatrix l(rt, sigma.rows(), sigma.cols(), 16,
-                     tile::Layout::kLowerSymmetric);
-  l.from_dense(sigma.view());
-  tile::potrf_tiled(rt, l);
-  const PmvnOptions opts = fixed_seed_opts(stats::SamplerKind::kPseudoMC);
-  const double first = core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob;
+  const engine::PmvnEngine eng(
+      rt,
+      std::make_shared<const engine::CholeskyFactor>(
+          engine::CholeskyFactor::factor(rt, gen,
+                                         {engine::FactorKind::kDense, 16})),
+      fixed_seed_opts(stats::SamplerKind::kPseudoMC));
+  const engine::LimitSet query{pb.a, pb.b, kSeed};
+  const double first = eng.evaluate_one(query).prob;
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_DOUBLE_EQ(core::pmvn_dense(rt, l, pb.a, pb.b, opts).prob, first)
-        << "rep=" << rep;
+    EXPECT_DOUBLE_EQ(eng.evaluate_one(query).prob, first) << "rep=" << rep;
   }
 }
 

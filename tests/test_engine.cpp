@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/pmvn.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
 #include "engine/pmvn_engine.hpp"
@@ -20,8 +19,9 @@
 #include "geo/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tile_matrix.hpp"
-#include "tile/tiled_potrf.hpp"
+#include "tlr/tlr_matrix.hpp"
+#include "tlr/tlr_potrf.hpp"
+#include "vecchia/vecchia_factor.hpp"
 
 namespace {
 
@@ -71,7 +71,7 @@ TEST(CholeskyFactor, FactorOrderedRecordsMetadata) {
   EXPECT_GT(f.factor_seconds(), 0.0);
 }
 
-TEST(CholeskyFactor, BorrowedDenseMatchesOwnedFactor) {
+TEST(CholeskyFactor, BorrowedTlrMatchesOwnedFactor) {
   // A borrowed factor and an owned factor of the same matrix must drive the
   // engine to bitwise-identical results.
   const SpatialProblem pb(6);
@@ -79,18 +79,16 @@ TEST(CholeskyFactor, BorrowedDenseMatchesOwnedFactor) {
   const i64 n = pb.n();
   std::vector<i64> identity(static_cast<std::size_t>(n));
   std::iota(identity.begin(), identity.end(), i64{0});
-  const engine::FactorSpec spec{engine::FactorKind::kDense, 16, 0.0, -1};
+  const engine::FactorSpec spec{engine::FactorKind::kTlr, 16, 1e-7, -1};
   auto owned = std::make_shared<const engine::CholeskyFactor>(
       engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity, spec));
 
-  // Rebuild the same standardised matrix through the public tile path.
+  // Rebuild the same standardised matrix through the public TLR path.
   const geo::CorrelationGenerator corr(*pb.cov);
-  tile::TileMatrix l(rt, n, n, 16, tile::Layout::kLowerSymmetric);
-  l.generate_async(rt, corr);
-  rt.wait_all();
-  tile::potrf_tiled(rt, l);
+  tlr::TlrMatrix l = tlr::TlrMatrix::compress(rt, corr, 16, 1e-7, -1);
+  tlr::potrf_tlr(rt, l);
   auto borrowed = std::make_shared<const engine::CholeskyFactor>(
-      engine::CholeskyFactor::borrow_dense(l));
+      engine::CholeskyFactor::borrow_tlr(l));
   EXPECT_EQ(borrowed->factor_seconds(), 0.0);
 
   const std::vector<double> a(static_cast<std::size_t>(n), -0.4);
@@ -175,36 +173,6 @@ TEST(PmvnEngine, BatchedMatchesSingleUnderTightPanelBudget) {
   }
 }
 
-TEST(PmvnEngine, AgreesWithLegacySingleQueryWrappers) {
-  // core::pmvn_dense delegates to the engine; a direct engine run over the
-  // same borrowed factor must agree bitwise.
-  const SpatialProblem pb(6);
-  rt::Runtime rt(2);
-  const i64 n = pb.n();
-  const geo::CorrelationGenerator corr(*pb.cov);
-  tile::TileMatrix l(rt, n, n, 16, tile::Layout::kLowerSymmetric);
-  l.generate_async(rt, corr);
-  rt.wait_all();
-  tile::potrf_tiled(rt, l);
-
-  const std::vector<double> a(static_cast<std::size_t>(n), -0.7);
-  const std::vector<double> b(static_cast<std::size_t>(n), kInf);
-  core::PmvnOptions legacy;
-  legacy.samples_per_shift = 150;
-  legacy.shifts = 4;
-  legacy.sampler = stats::SamplerKind::kRichtmyer;
-  legacy.seed = 21;
-  const core::PmvnResult via_wrapper = core::pmvn_dense(rt, l, a, b, legacy);
-
-  auto factor = std::make_shared<const engine::CholeskyFactor>(
-      engine::CholeskyFactor::borrow_dense(l));
-  engine::EngineOptions opts = small_opts();
-  const engine::PmvnEngine eng(rt, factor, opts);
-  const engine::QueryResult direct = eng.evaluate_one({a, b, 21, false});
-  EXPECT_DOUBLE_EQ(via_wrapper.prob, direct.prob);
-  EXPECT_DOUBLE_EQ(via_wrapper.error3sigma, direct.error3sigma);
-}
-
 TEST(PmvnEngine, PanelHandlesAreRecycledAcrossRoundsAndCalls) {
   // Serving workload: one long-lived runtime, many evaluate() calls. The
   // per-round panel/p handles must be released back to the runtime, or the
@@ -256,10 +224,72 @@ TEST(PmvnEngine, EmptyBatchAndShapeChecks) {
   EXPECT_THROW((void)eng.evaluate_one({short_a, b, 1, false}), Error);
 }
 
+TEST(PmvnEngine, NanLimitThrowsTypedOnEveryPath) {
+  // NaN is not a limit: every CDF difference would read it as an empty
+  // interval and answer prob 0 with a zero error bar. evaluate() rejects it
+  // before the EP screen or the sweep runs, on the tiered path too; ±inf
+  // stays legal.
+  const SpatialProblem pb(4);
+  rt::Runtime rt(1);
+  std::vector<i64> identity(static_cast<std::size_t>(pb.n()));
+  std::iota(identity.begin(), identity.end(), i64{0});
+  const engine::FactorSpec spec{engine::FactorKind::kDense, 8, 0.0, -1};
+  auto factor = std::make_shared<const engine::CholeskyFactor>(
+      engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity, spec));
+  engine::EngineOptions tiered = small_opts();
+  tiered.tiered = true;
+  const std::vector<double> a(static_cast<std::size_t>(pb.n()), -kInf);
+  const std::vector<double> b(static_cast<std::size_t>(pb.n()), kInf);
+  std::vector<double> a_nan = a;
+  a_nan[3] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> b_nan = b;
+  b_nan.back() = std::numeric_limits<double>::quiet_NaN();
+  for (const engine::EngineOptions& opts : {small_opts(), tiered}) {
+    const engine::PmvnEngine eng(rt, factor, opts);
+    EXPECT_THROW((void)eng.evaluate_one({a_nan, b, 1, false, 0.5}), Error);
+    EXPECT_THROW((void)eng.evaluate_one({a, b_nan, 1, true, 0.5}), Error);
+    const std::vector<engine::LimitSet> batch{{a, b, 1}, {a_nan, b, 2}};
+    EXPECT_THROW((void)eng.evaluate(batch), Error);
+    EXPECT_DOUBLE_EQ(eng.evaluate_one({a, b, 1}).prob, 1.0);
+  }
+}
+
+TEST(PmvnEngine, InvertedBoxIsAnEmptyEvent) {
+  // a_i > b_i on any coordinate is a legal, empty box: probability exactly
+  // 0 with a zero error bar, on the dense, TLR and Vecchia arms alike.
+  const SpatialProblem pb(5);
+  rt::Runtime rt(2);
+  const i64 n = pb.n();
+  std::vector<i64> identity(static_cast<std::size_t>(n));
+  std::iota(identity.begin(), identity.end(), i64{0});
+  std::vector<double> a(static_cast<std::size_t>(n), -0.5);
+  std::vector<double> b(static_cast<std::size_t>(n), kInf);
+  a[7] = 1.0;
+  b[7] = 0.5;
+  for (const engine::FactorKind kind :
+       {engine::FactorKind::kDense, engine::FactorKind::kTlr,
+        engine::FactorKind::kVecchia}) {
+    const engine::FactorSpec spec{kind, 8, 1e-7, -1};
+    const engine::PmvnEngine eng(
+        rt,
+        std::make_shared<const engine::CholeskyFactor>(
+            engine::CholeskyFactor::factor_ordered(rt, *pb.cov, identity,
+                                                   spec)),
+        small_opts());
+    const engine::QueryResult r = eng.evaluate_one({a, b, 3, true});
+    EXPECT_EQ(r.prob, 0.0) << static_cast<int>(kind);
+    EXPECT_EQ(r.error3sigma, 0.0) << static_cast<int>(kind);
+    ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), n);
+    EXPECT_GT(r.prefix_prob[6], 0.0) << static_cast<int>(kind);
+    for (i64 i = 7; i < n; ++i)
+      EXPECT_EQ(r.prefix_prob[static_cast<std::size_t>(i)], 0.0)
+          << static_cast<int>(kind) << " i=" << i;
+  }
+}
+
 TEST(EngineOptions, ValidateRejectsEveryBadKnobTyped) {
-  // Nonsense options must fail typed at construction (PmvnEngine's ctor and
-  // core::engine_options both call validate()), never as undefined
-  // downstream behaviour.
+  // Nonsense options must fail typed at construction (PmvnEngine's ctor
+  // calls validate()), never as undefined downstream behaviour.
   const auto expect_throws = [](auto mutate) {
     engine::EngineOptions o;
     mutate(o);
@@ -299,12 +329,6 @@ TEST(EngineOptions, PmvnEngineConstructorValidates) {
   engine::EngineOptions bad = small_opts();
   bad.deadline_ms = -1;
   EXPECT_THROW(engine::PmvnEngine(rt, factor, bad), Error);
-}
-
-TEST(EngineOptions, PmvnOptionsTranslationValidates) {
-  core::PmvnOptions bad;
-  bad.ep_margin = -0.2;
-  EXPECT_THROW((void)core::engine_options(bad), Error);
 }
 
 TEST(FactorCache, HitsMissesAndLru) {

@@ -254,7 +254,7 @@ core::CrdOptions tiered_crd_options() {
   opts.pmvn.samples_per_shift = 200;
   opts.pmvn.shifts = 8;
   opts.pmvn.sampler = stats::SamplerKind::kRichtmyer;
-  opts.pmvn.seed = 20240517;
+  opts.seed = 20240517;
   return opts;
 }
 

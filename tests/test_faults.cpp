@@ -20,7 +20,6 @@
 
 #include "common/fault.hpp"
 #include "core/excursion.hpp"
-#include "core/pmvn.hpp"
 #include "engine/cholesky_factor.hpp"
 #include "engine/factor_cache.hpp"
 #include "engine/pmvn_engine.hpp"

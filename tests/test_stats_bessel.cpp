@@ -28,6 +28,23 @@ double bessel_k_oracle(double nu, double x) {
   return sum * h;
 }
 
+// Long-double oracle for the scaled function:
+// e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt, with
+// cosh t - 1 = 2 sinh^2(t/2) to avoid cancellation. The integrand is entire
+// and decays double-exponentially, so the trapezoid rule at h = 1/32 is
+// exact to long-double rounding (~1e-19), far below the 1e-13 claim.
+long double bessel_k_scaled_oracle(long double nu, long double x) {
+  const long double h = 1.0L / 32;
+  long double sum = 0.5L;  // t = 0 term, half weight
+  for (int i = 1;; ++i) {
+    const long double s = std::sinh(h * i / 2);
+    const long double term = std::exp(-2 * x * s * s) * std::cosh(nu * h * i);
+    sum += term;
+    if (term < 1e-30L * sum) break;
+  }
+  return sum * h;
+}
+
 TEST(BesselK, HalfIntegerClosedForms) {
   // K_{1/2}(x) = sqrt(pi/(2x)) e^-x
   for (double x : {0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0}) {
@@ -96,6 +113,20 @@ TEST(BesselK, MonotoneDecreasingInX) {
       const double k = bessel_k(nu, x);
       EXPECT_LT(k, prev) << "nu=" << nu << " x=" << x;
       prev = k;
+    }
+  }
+}
+
+TEST(BesselK, NearIntegerOrderKeepsFullAccuracy) {
+  // nu = n + mu with small |mu|: Temme's gam1 must not come from the
+  // cancelling difference (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu), which
+  // loses about eps/|mu| (7.6e-9 at nu = 2 + 3e-8).
+  for (const double nu : {1.0 + 1e-7, 2.0 + 3e-8, 1.001}) {
+    for (const double x : {0.5, 2.0}) {
+      const long double want = bessel_k_scaled_oracle(nu, x);
+      const double got = bessel_k_scaled(nu, x);
+      EXPECT_NEAR(static_cast<double>((got - want) / want), 0.0, 1e-13)
+          << "nu=" << nu << " x=" << x;
     }
   }
 }

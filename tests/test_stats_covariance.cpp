@@ -169,12 +169,13 @@ TEST(Matern, RejectsSmoothnessOutsideTableRangeAndNeverReturnsNan) {
     EXPECT_NE(std::string(e.what()).find("nu = 50"), std::string::npos)
         << e.what();
   }
-  // At the range ends, distances from the subnormal 1e-310 on give a finite
-  // value in [0, sigma2]; there K_nu overflows while z^nu underflows.
+  // At the range ends, distances from the smallest subnormal on give a
+  // finite value in [0, sigma2]; there K_nu overflows while z^nu underflows.
   for (const double nu : {MaternKernel::kMinSmoothness, 10.0,
                           MaternKernel::kMaxSmoothness}) {
     const MaternKernel k(2.0, 1.0, nu);
-    for (double d = 1e-310; d < 1e4; d *= 7.0) {
+    for (double d = std::numeric_limits<double>::denorm_min(); d < 1e4;
+         d *= 7.0) {
       const double v = k(d);
       EXPECT_TRUE(v >= 0.0 && v <= 2.0) << "nu=" << nu << " d=" << d << " C=" << v;
     }

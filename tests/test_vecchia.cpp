@@ -16,14 +16,12 @@
 #include <vector>
 
 #include "core/excursion.hpp"
-#include "core/pmvn.hpp"
 #include "engine/cholesky_factor.hpp"
+#include "engine/pmvn_engine.hpp"
 #include "geo/covgen.hpp"
 #include "geo/geometry.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/covariance.hpp"
-#include "tile/tile_matrix.hpp"
-#include "tile/tiled_potrf.hpp"
 #include "vecchia/ordering.hpp"
 #include "vecchia/vecchia_factor.hpp"
 
@@ -179,7 +177,7 @@ struct VecchiaProblem {
   geo::LocationSet locs;
   std::shared_ptr<stats::ExponentialKernel> kernel;
   std::shared_ptr<geo::KernelCovGenerator> cov;
-  std::vector<double> xy, a, b;
+  std::vector<double> a, b;
 
   explicit VecchiaProblem(i64 side, double lo = -0.6)
       : locs(geo::apply_permutation(
@@ -187,28 +185,40 @@ struct VecchiaProblem {
             geo::morton_order(geo::regular_grid(side, side)))),
         kernel(std::make_shared<stats::ExponentialKernel>(1.0, 0.2)),
         cov(std::make_shared<geo::KernelCovGenerator>(locs, kernel, 1e-6)),
-        xy(grid_xy(locs)),
         a(locs.size(), lo),
         b(locs.size(), kInf) {}
 };
 
-core::PmvnOptions qmc_opts() {
-  core::PmvnOptions o;
+constexpr u64 kSeed = 20240517;
+
+engine::EngineOptions qmc_opts() {
+  engine::EngineOptions o;
   o.samples_per_shift = 300;
   o.shifts = 5;
   o.sampler = stats::SamplerKind::kRichtmyer;
-  o.seed = 20240517;
   return o;
 }
 
+// One fixed-seed query of `pb` against the factor `spec` builds.
+engine::QueryResult evaluate(rt::Runtime& rt, const VecchiaProblem& pb,
+                             const engine::FactorSpec& spec,
+                             bool prefix = false) {
+  const engine::PmvnEngine eng(
+      rt,
+      std::make_shared<const engine::CholeskyFactor>(
+          engine::CholeskyFactor::factor(rt, *pb.cov, spec)),
+      qmc_opts());
+  return eng.evaluate_one({pb.a, pb.b, kSeed, prefix});
+}
+
+engine::FactorSpec vecchia_spec(i64 tile, i64 m) {
+  return {engine::FactorKind::kVecchia, tile, 0.0, -1, m};
+}
+
 double dense_prob(rt::Runtime& rt, const VecchiaProblem& pb,
-                  const core::PmvnOptions& opts, double* err = nullptr) {
-  const la::Matrix sigma = geo::dense_from_generator(*pb.cov);
-  tile::TileMatrix l(rt, sigma.rows(), sigma.cols(), 16,
-                     tile::Layout::kLowerSymmetric);
-  l.from_dense(sigma.view());
-  tile::potrf_tiled(rt, l);
-  const core::PmvnResult r = core::pmvn_dense(rt, l, pb.a, pb.b, opts);
+                  double* err = nullptr) {
+  const engine::QueryResult r =
+      evaluate(rt, pb, {engine::FactorKind::kDense, 16});
   if (err != nullptr) *err = r.error3sigma;
   return r.prob;
 }
@@ -220,12 +230,8 @@ TEST(VecchiaPmvn, FullConditioningMatchesDenseArm) {
   const VecchiaProblem pb(6);
   const i64 n = pb.cov->rows();
   rt::Runtime rt(4);
-  const core::PmvnOptions opts = qmc_opts();
-  const double pd = dense_prob(rt, pb, opts);
-
-  const vecchia::VecchiaFactor f =
-      vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/16, n - 1);
-  const double pv = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts).prob;
+  const double pd = dense_prob(rt, pb);
+  const double pv = evaluate(rt, pb, vecchia_spec(16, n - 1)).prob;
   EXPECT_NEAR(pv, pd, 1e-8 * std::max(1.0, std::abs(pd)));
 }
 
@@ -235,14 +241,9 @@ TEST(VecchiaPmvn, CrossTileConditioningIsTileSizeRobust) {
   // produce the same estimate up to summation-order rounding.
   const VecchiaProblem pb(6);
   rt::Runtime rt(4);
-  const core::PmvnOptions opts = qmc_opts();
   const i64 n = pb.cov->rows();
-  const vecchia::VecchiaFactor f_one =
-      vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, n, /*m=*/10);
-  const vecchia::VecchiaFactor f_tiled =
-      vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/7, /*m=*/10);
-  const double p_one = core::pmvn_vecchia(rt, f_one, pb.a, pb.b, opts).prob;
-  const double p_tiled = core::pmvn_vecchia(rt, f_tiled, pb.a, pb.b, opts).prob;
+  const double p_one = evaluate(rt, pb, vecchia_spec(n, 10)).prob;
+  const double p_tiled = evaluate(rt, pb, vecchia_spec(7, 10)).prob;
   EXPECT_NEAR(p_tiled, p_one, 1e-9 * std::max(1.0, std::abs(p_one)));
 }
 
@@ -253,12 +254,9 @@ TEST(VecchiaPmvn, SmallConditioningSetsAgreeStatistically) {
   // the dense arm to a few percent.
   const VecchiaProblem pb(10, -1.0);
   rt::Runtime rt(4);
-  const core::PmvnOptions opts = qmc_opts();
   double err_d = 0.0;
-  const double pd = dense_prob(rt, pb, opts, &err_d);
-  const vecchia::VecchiaFactor f =
-      vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/32, /*m=*/16);
-  const core::PmvnResult rv = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
+  const double pd = dense_prob(rt, pb, &err_d);
+  const engine::QueryResult rv = evaluate(rt, pb, vecchia_spec(32, 16));
   ASSERT_GT(pd, 0.0);
   ASSERT_GT(rv.prob, 0.0);
   EXPECT_NEAR(std::log(rv.prob), std::log(pd), 0.1)
@@ -269,11 +267,8 @@ TEST(VecchiaPmvn, SmallConditioningSetsAgreeStatistically) {
 TEST(VecchiaPmvn, PrefixProbabilitiesAreMonotoneAndConsistent) {
   const VecchiaProblem pb(6);
   rt::Runtime rt(2);
-  core::PmvnOptions opts = qmc_opts();
-  opts.prefix = true;
-  const vecchia::VecchiaFactor f =
-      vecchia::VecchiaFactor::build(rt, *pb.cov, pb.xy, /*tile=*/9, /*m=*/8);
-  const core::PmvnResult r = core::pmvn_vecchia(rt, f, pb.a, pb.b, opts);
+  const engine::QueryResult r =
+      evaluate(rt, pb, vecchia_spec(9, 8), /*prefix=*/true);
   ASSERT_EQ(static_cast<i64>(r.prefix_prob.size()), pb.cov->rows());
   for (std::size_t i = 1; i < r.prefix_prob.size(); ++i)
     EXPECT_LE(r.prefix_prob[i], r.prefix_prob[i - 1] + 1e-15) << i;
